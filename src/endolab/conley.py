@@ -19,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from .maps import MapOverflowError, PolyMap, Window
+from .maps import PolyMap, Window, map_kernel
 
 INFINITY = -1  # the absorbing point-at-infinity node
 
@@ -202,30 +202,16 @@ def build_box_map(pmap, window, depth, samples_per_box=8, pad_mode="subcell:2",
     samples = base[:, None, :] + offs[None, :, :] * w  # (B, S, d)
     zs = window.to_complex(samples.reshape(-1, d))  # (B*S, n)
 
-    img = np.empty_like(zs)
-    over = np.zeros(len(zs), dtype=bool)
-    try:
-        img = pmap.eval(zs)
-    except MapOverflowError:
-        for i in range(len(zs)):
-            try:
-                img[i] = pmap.eval(zs[i])
-            except MapOverflowError:
-                over[i] = True
-                img[i] = 0.0
+    # an overflowing sample maps to infinity, and its operator norm is 0
+    img, _, reached = map_kernel(pmap, zs)
+    over = reached == 0
+    img[over] = 0.0
 
     if fixed_pad is None:
-        try:
-            jac = pmap.jet(zs).jacobian
-            opn = np.linalg.svd(jac, compute_uv=False).max(axis=-1)
-        except MapOverflowError:
-            opn = np.empty(len(zs))
-            for i in range(len(zs)):
-                try:
-                    ji = pmap.jet(zs[i]).jacobian
-                    opn[i] = np.linalg.svd(ji, compute_uv=False).max()
-                except MapOverflowError:
-                    opn[i] = 0.0
+        _, jac, reached = map_kernel(pmap, zs, jacobian=True)
+        good = reached == 1
+        opn = np.zeros(len(zs))
+        opn[good] = np.linalg.svd(jac[good], compute_uv=False).max(axis=-1)
         opn = opn.reshape(B, S)
     img_r = window.reals(img).reshape(B, S, d)
     over = over.reshape(B, S)

@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .maps import MapOverflowError, PolyMap, Window
+from .maps import PolyMap, Window, map_kernel
 from .periodic import find_periodic, poly_roots
 
 
@@ -75,19 +75,10 @@ def escape_grid(pmap, window, res, n_max, R, axes=(0, 1), fixed=()):
         idx = np.flatnonzero(alive)
         if idx.size == 0:
             break
+        z[idx], _, reached = map_kernel(pmap, z[idx])
         with np.errstate(over="ignore", invalid="ignore"):
-            try:
-                z[idx] = pmap.eval(z[idx])
-                out = np.abs(z[idx]).max(axis=-1) > R
-            except MapOverflowError:
-                # fall back per point on overflow
-                out = np.zeros(idx.size, dtype=bool)
-                for t, i in enumerate(idx):
-                    try:
-                        z[i] = pmap.eval(z[i])
-                        out[t] = np.abs(z[i]).max() > R
-                    except MapOverflowError:
-                        out[t] = True
+            # an overflowing cell escapes at this step
+            out = (reached == 0) | (np.abs(z[idx]).max(axis=-1) > R)
         escaped[idx[out]] = True
         esc_iter[idx[out]] = k
         alive[idx[out]] = False
@@ -206,15 +197,9 @@ def spread_probe(pmap, cellU, cellV, k_max, samples=256, R=None, seed=0):
         idx = np.flatnonzero(alive)
         if idx.size == 0:
             return None
-        try:
-            x[idx] = pmap.eval(x[idx])
-        except MapOverflowError:
-            for i in idx:
-                try:
-                    x[i] = pmap.eval(x[i])
-                except MapOverflowError:
-                    alive[i] = False
-            idx = np.flatnonzero(alive)
+        x[idx], _, reached = map_kernel(pmap, x[idx])
+        alive[idx[reached == 0]] = False  # overflow: no longer alive
+        idx = idx[reached == 1]
         far = np.abs(x[idx]).max(axis=-1) > R
         alive[idx[far]] = False
         idx = idx[~far]

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -108,19 +109,20 @@ class PolyMap:
     def is_polynomial(self):
         return self.entire is None
 
+    @cached_property
+    def _max_exponents(self):
+        """Highest exponent of each coordinate over all terms."""
+        return tuple(max((exps[j] for comp in self.components
+                          for exps, _ in comp), default=0)
+                     for j in range(self.n))
+
     # -- evaluation -----------------------------------------------------
 
     def eval(self, p):
         """Evaluate at p, shape (..., n) complex; returns the same shape."""
-        p = _as_points(p, self.n)
-        with np.errstate(over="ignore", invalid="ignore"):
-            if self.entire is not None:
-                out = _entire_eval(self.entire, p[..., 0])[..., None]
-            else:
-                out = _poly_eval(self, p)
-        if not np.all(np.isfinite(out)) or np.any(np.abs(out) > _FINITE_LIMIT):
-            raise MapOverflowError()
-        return out
+        value, _, steps = map_kernel(self, p)
+        _raise_overflow(steps, 1)
+        return value
 
     def jet(self, p):
         """Value and Jacobian at p via forward-mode duals.
@@ -128,51 +130,24 @@ class PolyMap:
         Returns a Jet with value shape (..., n) and jacobian (..., n, n),
         row i holding the gradient of component i.
         """
-        p = _as_points(p, self.n)
-        with np.errstate(over="ignore", invalid="ignore"):
-            if self.entire is not None:
-                v, g = _entire_dual(self.entire, p[..., 0],
-                                    np.ones_like(p[..., 0]))
-                value = v[..., None]
-                jac = g[..., None, None]
-            else:
-                value, jac = _poly_dual(self, p)
-        bad = not (np.isfinite(value).all() and np.isfinite(jac).all())
-        if bad or np.any(np.abs(value) > _FINITE_LIMIT):
-            raise MapOverflowError()
+        value, jac, steps = map_kernel(self, p, jacobian=True)
+        _raise_overflow(steps, 1)
         return Jet(value=value, jacobian=jac)
 
     def iterated_jet(self, p, m):
         """Value and chain-rule Jacobian of the m-th iterate at p."""
         if m < 1:
             raise ValueError("m must be >= 1")
-        p = _as_points(p, self.n)
-        jac = np.broadcast_to(
-            np.eye(self.n, dtype=complex), p.shape[:-1] + (self.n, self.n)
-        ).copy()
-        x = p
-        for k in range(m):
-            try:
-                jt = self.jet(x)
-            except MapOverflowError:
-                raise MapOverflowError(
-                    f"numeric overflow at orbit index {k}", index=k
-                ) from None
-            jac = jt.jacobian @ jac
-            x = jt.value
-        return Jet(value=x, jacobian=jac)
+        value, jac, steps = map_kernel(self, p, m,
+                                       jacobian=np.eye(self.n, dtype=complex))
+        _raise_overflow(steps, m)
+        return Jet(value=value, jacobian=jac)
 
     def iterate(self, p, m):
         """f^m(p) without derivative bookkeeping."""
-        p = _as_points(p, self.n)
-        for k in range(m):
-            try:
-                p = self.eval(p)
-            except MapOverflowError:
-                raise MapOverflowError(
-                    f"numeric overflow at orbit index {k}", index=k
-                ) from None
-        return p
+        value, _, steps = map_kernel(self, p, m)
+        _raise_overflow(steps, m)
+        return value
 
     # -- JSON round trip ------------------------------------------------
 
@@ -233,6 +208,66 @@ def _as_points(p, n):
     return p
 
 
+def map_kernel(pmap, p, m=1, jacobian=False):
+    """f^m at a batch of points, with overflow as a mask, not an error.
+
+    ``p`` has shape (..., n).  Returns ``(value, jac, steps)``:
+
+    * ``value`` (..., n) is f^m(p);
+    * ``jac`` is None when ``jacobian`` is False.  When it is True, jac is
+      the Jacobian of f^m, the product of the step Jacobians; when it is
+      an (n, n) matrix T, that product times T.  ``iterated_jet`` seeds
+      the product with the identity and ``jet`` does not, which keeps
+      both bit-identical to their step-by-step definitions;
+    * ``steps`` (...) counts the steps each point made inside the finite
+      range (every value and Jacobian entry finite, |value| <= 1e150).  A
+      point is ok where ``steps == m``; otherwise its value and Jacobian
+      mean nothing.
+
+    Each point's result does not depend on the rest of the batch, bit for
+    bit, so a caller drops the points that are not ok and keeps the rest.
+    """
+    p = _as_points(p, pmap.n)
+    batch = p.shape[:-1]
+    steps = np.full(batch, m)
+    jac = None
+    if not isinstance(jacobian, bool):
+        jac = np.broadcast_to(jacobian, batch + (pmap.n, pmap.n)).copy()
+    x = p
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(m):
+            x, J = _step(pmap, x, jacobian is not False)
+            # a NaN or infinite entry fails the comparison too
+            ok = (np.abs(x) <= _FINITE_LIMIT).all(axis=-1)
+            if J is not None:
+                ok &= np.isfinite(J).all(axis=(-2, -1))
+                jac = J if jac is None else J @ jac
+            if not ok.all():
+                steps[~ok & (steps == m)] = k
+    return x, jac, steps
+
+
+def _raise_overflow(steps, m):
+    """MapOverflowError at the first orbit step where a point overflowed."""
+    if (steps < m).any():
+        k = int(steps.min())
+        raise MapOverflowError(f"numeric overflow at orbit index {k}",
+                               index=k)
+
+
+def _step(pmap, x, jacobian):
+    """One application of f: (value, Jacobian or None)."""
+    if pmap.entire is not None:
+        z = x[..., 0]
+        if not jacobian:
+            return _entire_eval(pmap.entire, z)[..., None], None
+        v, g = _entire_dual(pmap.entire, z, np.ones_like(z))
+        return v[..., None], g[..., None, None]
+    if jacobian:
+        return _poly_dual(pmap, x)
+    return _poly_eval(pmap, x), None
+
+
 def _poly_eval(pmap, p):
     out = np.zeros_like(p)
     pows = _coord_powers(pmap, p)
@@ -249,17 +284,12 @@ def _poly_eval(pmap, p):
 
 
 def _coord_powers(pmap, p):
-    """pows[j][e] = p_j**e for every exponent used by the map."""
-    maxe = [0] * pmap.n
-    for comp in pmap.components:
-        for exps, _ in comp:
-            for j, e in enumerate(exps):
-                maxe[j] = max(maxe[j], e)
+    """pows[j][e] = p_j**e for 1 <= e <= the highest exponent of p_j."""
     pows = []
-    for j in range(pmap.n):
+    for j, top in enumerate(pmap._max_exponents):
         zj = p[..., j]
-        table = [np.ones_like(zj), zj]
-        for _ in range(2, maxe[j] + 1):
+        table = [None, zj]  # no caller reads p_j**0
+        for _ in range(2, top + 1):
             table.append(table[-1] * zj)
         pows.append(table)
     return pows

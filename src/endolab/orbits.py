@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .maps import MapOverflowError, PolyMap, Window
+from .maps import MapOverflowError, PolyMap, Window, map_kernel
 
 N_MAX_DEFAULT = 2000
 BURN_IN_DEFAULT = 500
@@ -190,18 +190,13 @@ def basin_mask(pmap, cycle, points, n_max=N_MAX_DEFAULT, tol=1e-6, R=None):
         idx = np.flatnonzero(alive)
         if idx.size == 0:
             break
-        try:
-            x[idx] = pmap.iterate(x[idx], m)
-        except MapOverflowError:
-            for i in idx:
-                try:
-                    x[i] = pmap.iterate(x[i], m)
-                except MapOverflowError:
-                    alive[i] = False
-                    locked[i] = -1
-            idx = np.flatnonzero(alive)
-            if idx.size == 0:
-                break
+        x[idx], _, reached = map_kernel(pmap, x[idx], m)
+        over = reached < m  # an overflowing point is no longer alive
+        alive[idx[over]] = False
+        locked[idx[over]] = -1
+        idx = idx[~over]
+        if idx.size == 0:
+            break
         esc = np.abs(x[idx]).max(axis=-1) > R
         alive[idx[esc]] = False
         locked[idx[esc]] = -1

@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .maps import MapOverflowError, PolyMap, Window
+from .maps import PolyMap, Window, map_kernel
 
 DEDUP_TOL = 1e-8
 UNIT_MARGIN = 1e-6  # |lambda| within this of 1 counts as borderline
@@ -115,7 +115,11 @@ def eigenvalues(M):
     M = np.asarray(M, dtype=complex)
     if M.shape[0] > 3:
         raise ValueError("n <= 3 only")
-    lam = poly_roots(_char_poly(M))
+    try:
+        lam = poly_roots(_char_poly(M))
+    except EigenvalueError:
+        # Durand-Kerner cannot meet its step tolerance on clustered roots
+        lam = np.linalg.eigvals(M)
     order = np.lexsort((lam.real, -np.abs(lam)))
     return lam[order]
 
@@ -191,33 +195,18 @@ def _newton_batch(pmap, x0, m, tol, max_steps=50, max_halvings=30):
     active = np.ones(S, dtype=bool)
     eye = np.eye(n, dtype=complex)
 
-    def g_and_jac(pts):
-        jt = pmap.iterated_jet(pts, m)
-        return jt.value - pts, jt.jacobian - eye
-
-    # initial residuals; seeds that overflow immediately are dropped
     for k in range(max_steps):
         idx = np.flatnonzero(active)
         if idx.size == 0:
             break
         xs = x[idx]
-        try:
-            g, J = g_and_jac(xs)
-        except MapOverflowError:
-            # retry seed by seed so one overflow doesn't kill the batch
-            g = np.empty((idx.size, n), dtype=complex)
-            J = np.empty((idx.size, n, n), dtype=complex)
-            keep = np.ones(idx.size, dtype=bool)
-            for t, i in enumerate(idx):
-                try:
-                    g[t], J[t] = g_and_jac(x[i : i + 1])
-                except MapOverflowError:
-                    keep[t] = False
-                    active[i] = False
-            idx = idx[keep]
-            if idx.size == 0:
-                break
-            g, J = g[keep], J[keep]
+        fx, J, steps = map_kernel(pmap, xs, m, jacobian=eye)
+        ok = steps == m  # seeds whose orbit overflows are dropped
+        active[idx[~ok]] = False
+        idx = idx[ok]
+        if idx.size == 0:
+            break
+        g, J = fx[ok] - xs[ok], J[ok] - eye
         r = np.abs(g).max(axis=-1)
         res[idx] = r
         done = r < tol
@@ -241,26 +230,24 @@ def _newton_batch(pmap, x0, m, tol, max_steps=50, max_halvings=30):
         idx, step, r = idx[ok], step[ok], r[ok]
         if idx.size == 0:
             break
-        # damping: halve until the residual no longer increases
+        # damping: halve until the residual no longer increases; a trial
+        # point whose orbit overflows has residual inf.  Only the halved
+        # rows have a new trial point to evaluate.
         t_damp = np.ones(len(idx))
         best = x[idx] - step
+        rn = np.full(len(idx), np.inf)
+        trial = np.arange(len(idx))
         for _ in range(max_halvings):
-            try:
-                gn = pmap.iterated_jet(best, m).value - best
-                rn = np.abs(gn).max(axis=-1)
-            except MapOverflowError:
-                rn = np.full(len(idx), np.inf)
-                for t in range(len(idx)):
-                    try:
-                        v = pmap.iterate(best[t], m) - best[t]
-                        rn[t] = np.abs(v).max()
-                    except MapOverflowError:
-                        pass
+            fb, _, steps = map_kernel(pmap, best[trial], m)
+            ok = steps == m
+            rn[trial] = np.inf
+            rn[trial[ok]] = np.abs(fb[ok] - best[trial[ok]]).max(axis=-1)
             worse = ~(rn <= r) & (t_damp > 2.0 ** -float(max_halvings))
             if not worse.any():
                 break
             t_damp[worse] *= 0.5
             best[worse] = x[idx[worse]] - t_damp[worse, None] * step[worse]
+            trial = np.flatnonzero(worse)
         x[idx] = best
     return x, res
 
@@ -281,47 +268,52 @@ def find_periodic(pmap, m_max, window, seeds=1024, tol=1e-10, seed=0):
 
 
 def _collect_cycles(pmap, roots, m_max, window, tol):
-    reps = []  # dedup at DEDUP_TOL in sup-norm
+    # dedup at DEDUP_TOL in sup-norm: a root joins the first rep within
+    # reach, which keeps the point of lower residual; the rep order decides
+    # which point starts each cycle
+    reps = np.empty((len(roots), pmap.n), dtype=complex)
+    resid = np.empty(len(roots))
+    count = 0
     for p, r in roots:
-        hit = False
-        for q in reps:
-            if np.abs(p - q[0]).max() < DEDUP_TOL:
-                hit = True
-                if r < q[1]:
-                    q[0], q[1] = p, r
-                break
-        if not hit:
-            reps.append([p, r])
+        hit = np.flatnonzero(
+            np.abs(reps[:count] - p).max(axis=-1) < DEDUP_TOL)
+        if hit.size == 0:
+            reps[count], resid[count] = p, r
+            count += 1
+        elif r < resid[hit[0]]:
+            reps[hit[0]], resid[hit[0]] = p, r
+    reps, resid = reps[:count], resid[:count]
+
+    # orbit[k] = f^k(reps); a rep's period is the first k <= m_max at which
+    # its orbit returns, which is minimal: no smaller k passed the test
+    orbit = [reps]
+    ok = np.ones(count, dtype=bool)
+    for _ in range(m_max):
+        x, _, steps = map_kernel(pmap, orbit[-1])
+        ok &= steps == 1
+        orbit.append(x)
+    orbit = np.stack(orbit)
+    with np.errstate(over="ignore", invalid="ignore"):
+        gap = np.abs(orbit[1:] - reps).max(axis=-1)
+    back = ok & (gap < max(tol, DEDUP_TOL))
+    period = np.where(back.any(axis=0), back.argmax(axis=0) + 1, 0)
 
     cycles = []
-    used = np.zeros(len(reps), dtype=bool)
-    for i, (p, r) in enumerate(reps):
+    used = np.zeros(count, dtype=bool)
+    for i in np.flatnonzero(period):
         if used[i]:
             continue
-        # period of p itself (it converged for some m <= m_max)
-        per = None
-        for m in range(1, m_max + 1):
-            if np.abs(pmap.iterate(p, m) - p).max() < max(tol, DEDUP_TOL):
-                per = minimal_period(pmap, p, m, max(tol, DEDUP_TOL))
-                break
-        if per is None:
+        cyc = orbit[:period[i], i].copy()
+        inside = window.contains(cyc)
+        if not inside.any():
             continue
-        orbit = [p]
-        for _ in range(per - 1):
-            orbit.append(pmap.eval(orbit[-1]))
         # base point: lexicographically smallest orbit point inside window
-        inside = [q for q in orbit if bool(window.contains(q))]
-        pool = inside if inside else orbit
-        base = min(pool, key=_lex_key)
-        k = next(t for t, q in enumerate(orbit)
-                 if np.abs(q - base).max() < DEDUP_TOL)
-        orbit = orbit[k:] + orbit[:k]
-        if not inside:
-            continue
-        for j, (q, _) in enumerate(reps):
-            if any(np.abs(q - o).max() < 10 * DEDUP_TOL for o in orbit):
-                used[j] = True
-        cycles.append(classify(pmap, orbit, residual=r))
+        base = min(cyc[inside], key=_lex_key)
+        k = np.flatnonzero(np.abs(cyc - base).max(axis=-1) < DEDUP_TOL)[0]
+        cyc = np.roll(cyc, -k, axis=0)
+        near = np.abs(reps[:, None, :] - cyc[None, :, :]).max(axis=-1)
+        used |= (near < 10 * DEDUP_TOL).any(axis=1)
+        cycles.append(classify(pmap, list(cyc), residual=float(resid[i])))
     cycles.sort(key=lambda c: (c.period, _lex_key(c.points[0])))
     return cycles
 

@@ -11,6 +11,7 @@ from endolab import (
     escape_radius,
     rank_check,
 )
+from endolab.maps import map_kernel
 
 RNG = np.random.default_rng(1234)
 
@@ -96,6 +97,31 @@ class TestJets:
             one = f.jet(pts[i])
             assert np.allclose(jt.value[i], one.value)
             assert np.allclose(jt.jacobian[i], one.jacobian)
+
+    def test_kernel_masks_overflowing_row(self):
+        rng = np.random.default_rng(11)
+        f = random_map(2, rng=rng)
+        pts = rng.normal(size=(9, 2)) + 1j * rng.normal(size=(9, 2))
+        pts[4] = 1e80  # |f| ~ 1e160 > 1e150
+        good = np.arange(9) != 4
+        eye = np.eye(2, dtype=complex)
+        value, _, steps = map_kernel(f, pts)
+        _, jac, jsteps = map_kernel(f, pts, jacobian=True)
+        it, itjac, itsteps = map_kernel(f, pts, 3, jacobian=eye)
+        assert np.array_equal(steps == 1, good)
+        assert np.array_equal(jsteps == 1, good)
+        assert np.array_equal(itsteps == 3, good)
+        assert itsteps[4] == 0
+        # the other rows are the single-point results, bit for bit
+        for i in np.flatnonzero(good):
+            assert np.array_equal(value[i], f.eval(pts[i]))
+            one = f.jet(pts[i])
+            assert np.array_equal(jac[i], one.jacobian)
+            assert np.array_equal(value[i], one.value)
+            three = f.iterated_jet(pts[i], 3)
+            assert np.array_equal(it[i], three.value)
+            assert np.array_equal(itjac[i], three.jacobian)
+            assert np.array_equal(it[i], f.iterate(pts[i], 3))
 
     def test_eval_does_not_mutate_input(self):
         f = random_map(1)

@@ -5,6 +5,9 @@ import pytest
 
 from endolab import PolyMap, Window, classify, eigenvalues, find_periodic
 from endolab.periodic import (
+    EigenvalueError,
+    _char_poly,
+    _newton_batch,
     classify_multipliers,
     cycles_to_csv,
     hyperbolicity_report,
@@ -89,6 +92,39 @@ class TestEigenvalues:
                     1.0, abs(np.trace(M)))
                 assert abs(np.prod(ev) - np.linalg.det(M)) < 1e-8 * max(
                     1.0, abs(np.linalg.det(M)))
+
+
+    def test_clustered_multipliers_fall_back_to_lapack(self):
+        # D f^2 at a 2-cycle of a triangular 3-D quadratic (the cycles
+        # benchmark's quad3_2 entry 1): three distinct multipliers near
+        # |lambda| ~ 5, on which Durand-Kerner misses its step tolerance
+        M = np.array([
+            [4.4076261130547678 + 0.41541085284006923j,
+             7.5220545478098247e-03 + 2.7318335475087264e-02j,
+             -4.9416286959897965e-05 - 1.6582909393168813e-04j],
+            [-0.0, 4.8915313159377778 + 0.68547415679795209j,
+             7.7963434457906430e-03 + 2.8475470045668218e-02j],
+            [-0.0, -0.0, 4.6941560943231613 + 0.60969412134539192j],
+        ])
+        with pytest.raises(EigenvalueError):
+            poly_roots(_char_poly(M))
+        ev = np.array(eigenvalues(M))
+        diag = np.diag(M)
+        expect = diag[np.argsort(-np.abs(diag))]
+        assert np.abs(ev - expect).max() < 1e-12 * np.abs(diag).max()
+
+
+class TestNewtonBatch:
+    def test_overflowing_seed_is_dropped(self):
+        seeds = W2.sample(64, seed=3)
+        pts, res = _newton_batch(BASILICA, seeds, 2, 1e-10)
+        more = np.vstack([seeds, [[1e80 + 0j]]])
+        pts2, res2 = _newton_batch(BASILICA, more, 2, 1e-10)
+        # the other seeds are unchanged, bit for bit; the bad one is dropped
+        assert np.array_equal(pts2[:-1], pts)
+        assert np.array_equal(res2[:-1], res)
+        assert res2[-1] == np.inf
+        assert (res < 1e-10).sum() > 32
 
 
 class TestClassification:
