@@ -5,7 +5,8 @@ a single JSON config document carries the parameters and every flag is
 an override of a config key.  Outputs are deterministic under a fixed
 seed and each file embeds the config hash and tool version.
 
-Exit codes: 0 ok, 2 config error, 3 infeasible construction.
+Exit codes: 0 ok, 2 config error, 3 infeasible construction.  Any other
+error propagates: a library bug is not reported as a config error.
 """
 
 from __future__ import annotations
@@ -44,8 +45,6 @@ def _load_config(args):
         cfg["map"] = args.map
     if args.seed is not None:
         cfg["seed"] = args.seed
-    if args.threads is not None:
-        cfg["threads"] = args.threads
     cfg.setdefault("seed", 0)
     return cfg
 
@@ -141,6 +140,8 @@ def cmd_julia(args):
     f = _get_map(cfg)
     window = _get_window(cfg, f.n)
     res = _positive(cfg, "res", 512)
+    if res < 2:
+        raise ConfigError("res must be at least 2")
     n_max = _positive(cfg, "n_max", 200)
     m_max = _positive(cfg, "m_max", 6)
     seeds = _positive(cfg, "seeds", 2048)
@@ -193,6 +194,10 @@ def cmd_conley(args):
     spb = _positive(cfg, "samples_per_box", 8)
     m_max = _positive(cfg, "m_max", 3)
     pad_mode = cfg.get("pad_mode", "jacobian")
+    try:
+        conley.pad_spec(pad_mode)
+    except ValueError as e:
+        raise ConfigError(str(e)) from None
     petal = cfg.get("petal_threshold")
     out = _outdir(args)
     report, g, mg, recs = conley.hurley_report(
@@ -221,6 +226,8 @@ def cmd_perturb(args):
         q = np.array([complex(re, im) for re, im in cfg.get("q", [[0.3, 0.0]])])
         m = _positive(cfg, "m", 1)
         kind = cfg.get("kind", "super_attracting")
+        if kind not in ("super_attracting", "repelling", "saddle"):
+            raise ConfigError(f"unknown kind {kind!r}")
         res = perturb.make_periodic_point(f, q, m, kind, window, budget)
         ver = {
             "kind": res["cycle"].klass,
@@ -260,7 +267,9 @@ def cmd_perturb(args):
 
 def cmd_hakim(args):
     cfg = _load_config(args)
-    dim = int(cfg.get("dim", 1))
+    dim = _positive(cfg, "dim", 1)
+    if dim > 2:
+        raise ConfigError("dim must be 1 or 2")
     start = cfg.get("start", [[-0.2, 0.0]] * dim)
     start = np.array([complex(re, im) for re, im in start])
     steps = _positive(cfg, "steps", 10_000)
@@ -300,7 +309,6 @@ def _build_parser():
         sp.add_argument("--config", help="config JSON file")
         sp.add_argument("--out", help="output directory (default: cwd)")
         sp.add_argument("--seed", type=int)
-        sp.add_argument("--threads", type=int)
         sp.add_argument("--set", dest="override", nargs=2, action="append",
                         metavar=("KEY", "JSON"),
                         help="override a config key with a JSON value")
@@ -329,9 +337,6 @@ def main(argv=None):
         extra = f" (stage {stage})" if stage is not None else ""
         print(f"infeasible: {e}{extra}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    except ValueError as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -3,7 +3,8 @@
 The window is tiled by 2^depth boxes per real axis.  Each box maps to the
 set of boxes meeting the padded bounding rectangle of its sampled image;
 anything leaving the window feeds a single absorbing `infinity` node with
-a self-loop.  SCCs of this graph stand in for chain-recurrence classes,
+a self-loop.  The graph is stored as CSR arrays over nodes 0..B, node B
+being `infinity`.  SCCs of this graph stand in for chain-recurrence classes,
 the condensation DAG carries an integer complete-Lyapunov ranking, and
 sink classes yield combinatorial attractor/basin records.
 
@@ -13,15 +14,18 @@ level only (every sampled image lands in a successor box).
 
 from __future__ import annotations
 
-import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
+from types import MappingProxyType
 from typing import Optional
 
 import numpy as np
+from scipy.sparse import csr_array
+from scipy.sparse.csgraph import breadth_first_order, connected_components
 
-from .maps import PolyMap, Window, map_kernel
+from .maps import Window, map_kernel
 
-INFINITY = -1  # the absorbing point-at-infinity node
+INFINITY = -1  # the absorbing point-at-infinity node; indexes node B
 
 
 @dataclass(frozen=True)
@@ -114,20 +118,63 @@ class BoxGrid:
         return np.concatenate(pts, axis=0)
 
 
-@dataclass
+@dataclass(eq=False)
 class BoxGraph:
+    """A box map as CSR arrays over nodes 0..B, where B = grid.count.
+
+    Node B is `infinity`.  The successors of node u are
+    indices[indptr[u]:indptr[u + 1]], ascending, so B comes last.
+    """
+
     grid: BoxGrid
-    succ: dict  # box index (or INFINITY) -> sorted tuple of successors
+    indptr: np.ndarray
+    indices: np.ndarray
 
-    def nodes(self):
-        return sorted(self.succ.keys())
+    def matrix(self):
+        """The graph as a (B+1, B+1) CSR matrix of ones, for csgraph."""
+        n = len(self.indptr) - 1
+        return csr_array((np.ones(len(self.indices)), self.indices,
+                          self.indptr), shape=(n, n))
 
-    def predecessors(self):
-        pred = {u: [] for u in self.succ}
-        for u, vs in self.succ.items():
-            for v in vs:
-                pred[v].append(u)
-        return pred
+    @cached_property
+    def succ(self):
+        """Read-only {node: sorted tuple of successors}, with INFINITY
+        standing for node B."""
+        B = self.grid.count
+        tgt = np.where(self.indices == B, INFINITY, self.indices)
+        rows = np.split(tgt, self.indptr[1:-1])
+        nodes = list(range(B)) + [INFINITY]
+        return MappingProxyType({u: tuple(sorted(r.tolist()))
+                                 for u, r in zip(nodes, rows)})
+
+
+def pad_spec(pad_mode):
+    """`pad_mode` -> (fixed pad or None, subcells per axis or 0).
+
+    Raises ValueError for a mode that build_box_map does not know.
+    """
+    kind, sep, arg = str(pad_mode).partition(":")
+    if kind == "fixed" and sep:
+        return float(arg), 0
+    if kind == "subcell":
+        split = int(arg) if sep else 2
+        if split >= 1:
+            return None, split
+    elif kind == "jacobian" and not sep:
+        return None, 0
+    raise ValueError(f"unknown pad_mode {pad_mode!r}")
+
+
+def _unique_sorted(keys):
+    """Distinct values of an integer array, ascending; sorts `keys` in place.
+
+    Sort + diff: np.unique's hash path is several times slower on the
+    millions of edge keys of a box map.
+    """
+    keys.sort(kind="stable")
+    keep = np.ones(len(keys), dtype=bool)
+    keep[1:] = keys[1:] != keys[:-1]
+    return keys[keep]
 
 
 def build_box_map(pmap, window, depth, samples_per_box=8, pad_mode="subcell:2",
@@ -149,21 +196,13 @@ def build_box_map(pmap, window, depth, samples_per_box=8, pad_mode="subcell:2",
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
+    fixed_pad, split = pad_spec(pad_mode)
     grid = BoxGrid(window=window, depth=depth)
     d = grid.dims
     per = grid.per_axis
     w = grid.widths
     lo = np.array([b[0] for b in window.bounds])
     hi = np.array([b[1] for b in window.bounds])
-
-    fixed_pad = None
-    split = 0
-    if pad_mode.startswith("fixed:"):
-        fixed_pad = float(pad_mode.split(":", 1)[1])
-    elif pad_mode == "subcell" or pad_mode.startswith("subcell:"):
-        split = int(pad_mode.split(":", 1)[1]) if ":" in pad_mode else 2
-    elif pad_mode != "jacobian":
-        raise ValueError(f"unknown pad_mode {pad_mode!r}")
 
     # shared in-box sample offsets (unit cube), same for every box
     if split:
@@ -187,12 +226,13 @@ def build_box_map(pmap, window, depth, samples_per_box=8, pad_mode="subcell:2",
     S = len(offs)
 
     # group samples: one group per subcell (or a single group)
-    groups = max(1, split ** d)
     group_of = np.zeros(S, dtype=int)
     if split:
         cellpos = np.minimum((offs * split).astype(int), split - 1)
         for a in range(d):
             group_of = group_of * split + cellpos[:, a]
+    sels = [group_of == gidx for gidx in range(max(1, split ** d))]
+    sels = [sel for sel in sels if sel.any()]
 
     lat = np.stack(
         np.meshgrid(*[np.arange(per)] * d, indexing="ij"), axis=-1
@@ -216,238 +256,150 @@ def build_box_map(pmap, window, depth, samples_per_box=8, pad_mode="subcell:2",
     img_r = window.reals(img).reshape(B, S, d)
     over = over.reshape(B, S)
 
-    # per-box, per-group rectangle bounds and pads
+    # padded image rectangle [a, b] of each box and sample group, (B, G, d)
     rad = float(w.max()) / (2.0 * max(1, split))
-    rects = []  # (B, G, d) mins/maxs, (B, G) pad, (B, G) any-sample flag
-    gmins = np.full((B, groups, d), np.inf)
-    gmaxs = np.full((B, groups, d), -np.inf)
-    gpad = np.zeros((B, groups))
-    gok = np.zeros((B, groups), dtype=bool)
-    for gidx in range(groups):
-        sel = group_of == gidx
-        if not sel.any():
-            continue
-        gok[:, gidx] = True
-        gmins[:, gidx, :] = img_r[:, sel, :].min(axis=1)
-        gmaxs[:, gidx, :] = img_r[:, sel, :].max(axis=1)
-        if fixed_pad is None:
-            gpad[:, gidx] = opn[:, sel].max(axis=1) * rad
-        else:
-            gpad[:, gidx] = fixed_pad
-
-    succ = {}
+    if fixed_pad is None:
+        pad = np.stack([opn[:, sel].max(axis=1) * rad for sel in sels], 1)
+    else:
+        pad = np.full((B, len(sels)), fixed_pad)
     eps = 1e-12
-    for bi in range(B):
-        targets = set()
-        if over[bi].any():
-            targets.add(INFINITY)
-        for gidx in range(groups):
-            if not gok[bi, gidx]:
-                continue
-            a = gmins[bi, gidx] - gpad[bi, gidx]
-            b = gmaxs[bi, gidx] + gpad[bi, gidx]
-            if np.any(a < lo - eps) or np.any(b > hi + eps):
-                targets.add(INFINITY)
-            if np.any(a >= hi) or np.any(b <= lo):
-                continue
-            # open-overlap test: boxes sharing only a face are not linked
-            ca = np.floor((np.maximum(a, lo) - lo) / w + eps).astype(int)
-            cb = np.ceil((np.minimum(b, hi) - lo) / w - eps).astype(int) - 1
-            ca = np.clip(ca, 0, per - 1)
-            cb = np.clip(cb, 0, per - 1)
-            if np.any(cb < ca):
-                continue
-            ranges = [range(ca[k], cb[k] + 1) for k in range(d)]
-            targets.update(_lattice_block(ranges, per).tolist())
-        succ[grid.index(tuple(lat[bi]))] = tuple(sorted(targets))
-    succ[INFINITY] = (INFINITY,)
-    return BoxGraph(grid=grid, succ=succ)
+    a = np.stack([img_r[:, sel].min(axis=1) for sel in sels], 1)
+    a -= pad[..., None]
+    b = np.stack([img_r[:, sel].max(axis=1) for sel in sels], 1)
+    b += pad[..., None]
+    to_inf = (over.any(axis=1)
+              | ((a < lo - eps) | (b > hi + eps)).any(axis=(1, 2)))
+    # open-overlap test: boxes sharing only a face are not linked.  Clipping
+    # before the cast keeps rectangles far outside the window, which are
+    # dropped, within the integer range.
+    ca = np.floor((np.maximum(a, lo) - lo) / w + eps)
+    cb = np.ceil((np.minimum(b, hi) - lo) / w - eps) - 1
+    ca = np.clip(ca, 0, per - 1).astype(np.int64)
+    cb = np.clip(cb, 0, per - 1).astype(np.int64)
+    box, grp = np.nonzero(~((a >= hi) | (b <= lo) | (cb < ca)).any(axis=2))
 
+    # one key src * (B + 1) + tgt per edge, node B being infinity; each
+    # lattice block [ca, cb] is enumerated in mixed radix, last axis fastest
+    corner = ca[box, grp]
+    side = cb[box, grp] - corner + 1
+    count = side.prod(axis=1)
+    stride = per ** np.arange(d - 1, -1, -1)
+    n_block = int(count.sum())
+    inf_box = np.flatnonzero(to_inf)
+    keys = np.empty(n_block + len(inf_box), dtype=np.int64)
+    keys[:n_block] = np.repeat(box * (B + 1) + corner @ stride, count)
+    digit = np.arange(n_block) - np.repeat(np.cumsum(count) - count, count)
+    for k in range(d - 1, -1, -1):
+        radix = np.repeat(side[:, k], count)
+        keys[:n_block] += digit % radix * stride[k]
+        digit //= radix
+    del digit, radix  # two (E,) arrays fewer during the sort
+    keys[n_block:] = inf_box * (B + 1) + B
+    keys = _unique_sorted(keys)
 
-def _lattice_block(ranges, per):
-    mesh = np.meshgrid(*[np.array(list(r)) for r in ranges], indexing="ij")
-    idx = np.zeros(mesh[0].shape, dtype=np.int64)
-    for m in mesh:
-        idx = idx * per + m
-    return idx.ravel()
+    indptr = np.append(np.searchsorted(keys, np.arange(B + 1) * (B + 1)),
+                       len(keys) + 1)
+    indices = np.append(keys % (B + 1), B)
+    return BoxGraph(grid=grid, indptr=indptr.astype(np.int32),
+                    indices=indices.astype(np.int32))
 
 
 # ---------------------------------------------------------------------------
-# SCC condensation (iterative Tarjan) and Morse graph
+# SCC condensation (csgraph) and Morse graph
 
 
-def tarjan_scc(succ):
-    """SCCs of a {node: iterable of nodes} graph, iterative Tarjan.
+def strong_components(graph):
+    """SCCs of a square csgraph matrix: (count, class per node).
 
-    Returned in reverse topological order (sinks first).
+    Classes are numbered by their minimal node.
     """
-    index = {}
-    low = {}
-    onstack = set()
-    stack = []
-    sccs = []
-    counter = [0]
-    for root in succ:
-        if root in index:
-            continue
-        work = [(root, iter(succ[root]))]
-        index[root] = low[root] = counter[0]
-        counter[0] += 1
-        stack.append(root)
-        onstack.add(root)
-        while work:
-            v, it = work[-1]
-            advanced = False
-            for u in it:
-                if u not in index:
-                    index[u] = low[u] = counter[0]
-                    counter[0] += 1
-                    stack.append(u)
-                    onstack.add(u)
-                    work.append((u, iter(succ[u])))
-                    advanced = True
-                    break
-                elif u in onstack:
-                    low[v] = min(low[v], index[u])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    u = stack.pop()
-                    onstack.discard(u)
-                    comp.append(u)
-                    if u == v:
-                        break
-                sccs.append(comp)
-    return sccs
+    k, labels = connected_components(graph, directed=True,
+                                     connection="strong")
+    _, first = np.unique(labels, return_index=True)
+    rank = np.empty(k, dtype=labels.dtype)
+    rank[np.argsort(first)] = np.arange(k, dtype=labels.dtype)
+    return k, rank[labels]
 
 
-@dataclass
+@dataclass(eq=False)
 class MorseGraph:
     graph: BoxGraph
-    classes: list  # sorted box-index lists, deterministic numbering
-    recurrent: list  # bool per class
-    dag_edges: set  # (class_i, class_j), i != j
-    class_of: dict  # node -> class id
-    lyapunov: Optional[list] = None  # per class, after lyapunov()
+    class_of: np.ndarray  # class per node 0..B; class_of[INFINITY] = node B's
+    recurrent: np.ndarray  # bool per class
+    dag_edges: np.ndarray  # (m, 2) distinct (class_i, class_j), i != j, sorted
+    lyapunov: Optional[np.ndarray] = None  # per class, set by lyapunov()
+
+    @cached_property
+    def classes(self):
+        """Sorted node list per class, with INFINITY standing for node B."""
+        nodes = np.arange(len(self.class_of))
+        nodes[-1] = INFINITY
+        order = np.argsort(self.class_of, kind="stable")
+        ends = np.cumsum(np.bincount(self.class_of,
+                                     minlength=len(self.recurrent)))
+        return [c.tolist() for c in np.split(nodes[order], ends[:-1])]
 
     def recurrent_boxes(self):
-        out = []
-        for cid, boxes in enumerate(self.classes):
-            if self.recurrent[cid]:
-                out.extend(b for b in boxes if b != INFINITY)
-        return sorted(out)
+        return np.flatnonzero(self.recurrent[self.class_of[:-1]])
 
     def sink_classes(self):
-        has_out = {i for (i, _) in self.dag_edges}
-        return [cid for cid in range(len(self.classes)) if cid not in has_out]
+        has_out = np.bincount(self.dag_edges[:, 0],
+                              minlength=len(self.recurrent))
+        return np.flatnonzero(has_out == 0)
 
     def infinity_class(self):
-        return self.class_of.get(INFINITY)
+        return int(self.class_of[INFINITY])
 
 
 def morse_graph(g):
-    """Condense the box graph; classes numbered by minimal contained box
-    index (the `infinity` class last)."""
-    comps = tarjan_scc(g.succ)
-    comps = [sorted(c) for c in comps]
-
-    def key(c):
-        boxes = [b for b in c if b != INFINITY]
-        return (1, 0) if not boxes else (0, min(boxes))
-
-    comps.sort(key=key)
-    class_of = {}
-    for cid, c in enumerate(comps):
-        for v in c:
-            class_of[v] = cid
-    recurrent = []
-    for c in comps:
-        if len(c) > 1:
-            recurrent.append(True)
-        else:
-            v = c[0]
-            recurrent.append(v in g.succ[v])
-    edges = set()
-    for u, vs in g.succ.items():
-        cu = class_of[u]
-        for v in vs:
-            cv = class_of[v]
-            if cu != cv:
-                edges.add((cu, cv))
-    mg = MorseGraph(graph=g, classes=comps, recurrent=recurrent,
-                    dag_edges=edges, class_of=class_of)
-    if _has_cycle(len(comps), edges):
-        raise RuntimeError("condensation is not acyclic (invariant breach)")
-    return mg
-
-
-def _has_cycle(k, edges):
-    succ = {i: [] for i in range(k)}
-    indeg = {i: 0 for i in range(k)}
-    for u, v in edges:
-        succ[u].append(v)
-        indeg[v] += 1
-    queue = [i for i in range(k) if indeg[i] == 0]
-    seen = 0
-    while queue:
-        u = queue.pop()
-        seen += 1
-        for v in succ[u]:
-            indeg[v] -= 1
-            if indeg[v] == 0:
-                queue.append(v)
-    return seen != k
+    """Condense the box graph; classes numbered by minimal contained node,
+    so the `infinity` class (node B) comes last.  Fills the Lyapunov
+    values and checks that the condensation is acyclic."""
+    k, class_of = strong_components(g.matrix())
+    src = np.repeat(np.arange(len(class_of), dtype=class_of.dtype),
+                    np.diff(g.indptr))
+    recurrent = np.bincount(class_of, minlength=k) > 1
+    recurrent[class_of[src[g.indices == src]]] = True  # self-loops
+    cu = class_of[src]
+    cv = class_of[g.indices]
+    cross = cu != cv
+    keys = _unique_sorted(cu[cross].astype(np.int64) * k + cv[cross])
+    dag = np.stack([keys // k, keys % k], axis=1)
+    return lyapunov(MorseGraph(graph=g, class_of=class_of,
+                               recurrent=recurrent, dag_edges=dag))
 
 
 def lyapunov(mg):
     """Fill per-class values: longest condensation-path distance to a sink.
 
-    Strictly decreasing along cross-class edges, constant on classes; the
-    integer range is trivially nowhere dense.
+    One Kahn peel from the sinks: round r removes the classes whose
+    successors all went in earlier rounds, and gives them L = r.  L is
+    strictly decreasing along cross-class edges and constant on classes;
+    the integer range is trivially nowhere dense.  A peel that stalls
+    before every class is removed means the condensation has a cycle.
     """
-    k = len(mg.classes)
-    succ = {i: [] for i in range(k)}
-    for u, v in mg.dag_edges:
-        succ[u].append(v)
-    order = _topo_order(k, mg.dag_edges)
-    L = [0] * k
-    for u in reversed(order):
-        L[u] = max((L[v] + 1 for v in succ[u]), default=0)
+    k = len(mg.recurrent)
+    src, dst = mg.dag_edges.T
+    into = csr_array((np.ones(len(src)), (dst, src)), shape=(k, k))
+    left = np.bincount(src, minlength=k)  # successors not yet removed
+    L = np.full(k, -1)
+    front = np.flatnonzero(left == 0)
+    r = 0
+    while front.size:
+        L[front] = r
+        pred = into[front].indices
+        np.subtract.at(left, pred, 1)
+        front = np.unique(pred[left[pred] == 0])
+        r += 1
+    if (L < 0).any():
+        raise RuntimeError("condensation is not acyclic (invariant breach)")
     mg.lyapunov = L
     return mg
 
 
-def _topo_order(k, edges):
-    succ = {i: [] for i in range(k)}
-    indeg = {i: 0 for i in range(k)}
-    for u, v in edges:
-        succ[u].append(v)
-        indeg[v] += 1
-    queue = sorted(i for i in range(k) if indeg[i] == 0)
-    order = []
-    while queue:
-        u = queue.pop(0)
-        order.append(u)
-        for v in sorted(succ[u]):
-            indeg[v] -= 1
-            if indeg[v] == 0:
-                queue.append(v)
-    if len(order) != k:
-        raise RuntimeError("condensation is not acyclic (invariant breach)")
-    return order
-
-
 def box_lyapunov(mg):
-    if mg.lyapunov is None:
-        lyapunov(mg)
-    return {b: mg.lyapunov[cid]
-            for cid, boxes in enumerate(mg.classes) for b in boxes}
+    L = mg.lyapunov[mg.class_of].tolist()
+    return dict(zip(list(range(len(L) - 1)) + [INFINITY], L))
 
 
 # ---------------------------------------------------------------------------
@@ -462,46 +414,54 @@ class AttractorRecord:
     is_infinity: bool
 
 
-def attractors(g, mg=None):
-    """One record per recurrent sink class of the condensation.
+def _sink_masks(g, mg):
+    """(U, attractor, basin) masks over nodes 0..B per recurrent sink class.
 
     A sink class U satisfies successors(U) <= U by construction; the
     attractor is its eventual forward image, the basin its backward
-    reachable set.  The `infinity` class yields the escape attractor.
+    reachable set, found from one node of U since U is strongly connected.
     """
-    if mg is None:
-        mg = morse_graph(g)
-    pred = g.predecessors()
+    graph = g.matrix()
+    back = graph.T.tocsr()
     out = []
     for cid in mg.sink_classes():
         if not mg.recurrent[cid]:
             continue  # a rectless sink cannot occur (every box has an image)
-        U = set(mg.classes[cid])
-        # eventual image inside U
-        A = set(U)
+        U = mg.class_of == cid
+        A = U
         while True:
-            nxt = set()
-            for b in A:
-                nxt.update(v for v in g.succ[b] if v in U)
-            if nxt == A:
+            nxt = np.zeros_like(U)
+            nxt[graph[np.flatnonzero(A)].indices] = True
+            nxt &= U
+            if np.array_equal(nxt, A):
                 break
             A = nxt
-        # backward reachability
-        basin = set(U)
-        frontier = list(U)
-        while frontier:
-            v = frontier.pop()
-            for u in pred.get(v, ()):
-                if u not in basin:
-                    basin.add(u)
-                    frontier.append(u)
-        out.append(AttractorRecord(
-            absorbing=frozenset(U),
-            attractor=frozenset(A),
-            basin=frozenset(basin),
-            is_infinity=INFINITY in U,
-        ))
+        basin = np.zeros_like(U)
+        basin[breadth_first_order(back, int(np.argmax(U)),
+                                  return_predecessors=False)] = True
+        out.append((U, A, basin))
     return out
+
+
+def _node_set(mask):
+    nodes = np.flatnonzero(mask)
+    nodes[nodes == len(mask) - 1] = INFINITY
+    return frozenset(nodes.tolist())
+
+
+def _record(U, A, basin):
+    return AttractorRecord(absorbing=_node_set(U), attractor=_node_set(A),
+                           basin=_node_set(basin), is_infinity=bool(U[-1]))
+
+
+def attractors(g, mg=None):
+    """One record per recurrent sink class of the condensation.
+
+    The `infinity` class yields the escape attractor.
+    """
+    if mg is None:
+        mg = morse_graph(g)
+    return [_record(*m) for m in _sink_masks(g, mg)]
 
 
 # ---------------------------------------------------------------------------
@@ -534,62 +494,59 @@ def hurley_report(pmap, window, depth, samples_per_box=8, pad_mode="subcell:2",
 
     g = build_box_map(pmap, window, depth, samples_per_box=samples_per_box,
                       pad_mode=pad_mode, seed=seed)
-    mg = lyapunov(morse_graph(g))
-    recs = attractors(g, mg)
-    report = {"depth": depth, "classes": len(mg.classes),
+    mg = morse_graph(g)
+    masks = _sink_masks(g, mg)
+    recs = [_record(*m) for m in masks]
+    report = {"depth": depth, "classes": len(mg.recurrent),
               "recurrent_classes": int(np.sum(mg.recurrent)),
               "attractors": len(recs), "items": {}}
 
-    recurrent_boxes = set(mg.recurrent_boxes())
-    all_boxes = set(b for b in g.succ if b != INFINITY)
-    covered = set()
-    for r in recs:
-        covered |= (r.basin - r.attractor)
-    missing = sorted(all_boxes - recurrent_boxes - covered)
+    B = g.grid.count
+    box_class = mg.class_of[:B]
+    recurrent_box = mg.recurrent[box_class]
+    covered = np.zeros(B + 1, dtype=bool)
+    for _, A, basin in masks:
+        covered |= basin & ~A
+    missing = np.flatnonzero(~recurrent_box & ~covered[:B])
     report["items"]["i_nonrecurrent_in_basins"] = {
-        "pass": not missing, "missing_boxes": missing[:20],
-        "missing_count": len(missing),
+        "pass": not missing.size, "missing_boxes": missing[:20].tolist(),
+        "missing_count": int(missing.size),
     }
 
     cycles = [c for c in find_periodic(pmap, m_max, window, seeds=seeds,
                                        seed=seed)
               if c.klass in ("attracting", "super_attracting")]
+    sink = np.zeros(len(mg.recurrent), dtype=bool)
+    sink[mg.sink_classes()] = True
     item2 = []
     item3 = []
     centers = g.grid.centers()
     for c in cycles:
-        boxes = {int(g.grid.box_of_points(np.asarray(q).reshape(1, pmap.n))[0])
-                 for q in c.points}
-        cids = {mg.class_of[b] for b in boxes}
-        ok2 = (len(cids) == 1
-               and mg.recurrent[next(iter(cids))]
-               and next(iter(cids)) in mg.sink_classes())
+        boxes = g.grid.box_of_points(np.asarray(c.points).reshape(-1, pmap.n))
+        cids = np.unique(mg.class_of[boxes])
+        one = len(cids) == 1
+        ok2 = one and mg.recurrent[cids[0]] and sink[cids[0]]
         item2.append({"period": c.period, "pass": bool(ok2),
-                      "classes": sorted(cids)})
-        cid = next(iter(cids)) if len(cids) == 1 else None
+                      "classes": cids.tolist()})
         mask = basin_mask(pmap, c, centers, n_max=1000, tol=1e-3)
-        cyc_boxes = set(mg.classes[cid]) if cid is not None else boxes
-        bad = [int(b) for b in np.flatnonzero(mask)
-               if b not in cyc_boxes and b in recurrent_boxes]
-        item3.append({"period": c.period, "pass": not bad,
-                      "violations": bad[:20], "violation_count": len(bad)})
+        cyc = box_class == cids[0] if one else np.isin(np.arange(B), boxes)
+        bad = np.flatnonzero(mask & recurrent_box & ~cyc)
+        item3.append({"period": c.period, "pass": not bad.size,
+                      "violations": bad[:20].tolist(),
+                      "violation_count": int(bad.size)})
     report["items"]["ii_cycle_is_sink_class"] = item2
     report["items"]["iii_basin_nonrecurrent"] = item3
 
     if petal_threshold is not None:
-        origin = np.zeros(pmap.n, dtype=complex)
-        ob = int(g.grid.box_of_points(origin.reshape(1, pmap.n))[0])
-        cid = mg.class_of[ob]
+        origin = np.zeros((1, pmap.n), dtype=complex)
+        cid = int(mg.class_of[g.grid.box_of_points(origin)[0]])
         hit = False
         best = -np.inf
         if mg.recurrent[cid]:
-            for b in mg.classes[cid]:
-                if b == INFINITY:
-                    continue
-                c = centers[b]
-                best = max(best, float(c.real.min()))
-                if float(c.real.min()) > petal_threshold:
-                    hit = True
+            reach = centers[box_class == cid].real.min(axis=1)
+            if reach.size:
+                best = float(reach.max())
+                hit = bool((reach > petal_threshold).any())
         report["items"]["iv_petal_chain_recurrent"] = {
             "pass": hit, "origin_class": cid,
             "max_min_real_part": best,
@@ -607,27 +564,23 @@ def hurley_report(pmap, window, depth, samples_per_box=8, pad_mode="subcell:2",
 
 def morse_to_dot(mg):
     """Condensation as DOT: nodes `id:size:L`, recurrent double-circled."""
-    if mg.lyapunov is None:
-        lyapunov(mg)
-    buf = io.StringIO()
-    buf.write("digraph morse {\n")
-    for cid, boxes in enumerate(mg.classes):
-        size = len(boxes)
-        label = f"{cid}:{size}:{mg.lyapunov[cid]}"
-        if INFINITY in boxes:
-            label += ":inf"
-        shape = "doublecircle" if mg.recurrent[cid] else "circle"
-        buf.write(f'  c{cid} [label="{label}", shape={shape}];\n')
-    for u, v in sorted(mg.dag_edges):
-        buf.write(f"  c{u} -> c{v};\n")
-    buf.write("}\n")
-    return buf.getvalue()
+    k = len(mg.recurrent)
+    sizes = np.bincount(mg.class_of, minlength=k).tolist()
+    inf = mg.infinity_class()
+    lines = ["digraph morse {\n"]
+    for cid, (size, L, rec) in enumerate(zip(sizes, mg.lyapunov.tolist(),
+                                             mg.recurrent.tolist())):
+        label = f"{cid}:{size}:{L}" + (":inf" if cid == inf else "")
+        shape = "doublecircle" if rec else "circle"
+        lines.append(f'  c{cid} [label="{label}", shape={shape}];\n')
+    edges = mg.dag_edges
+    lines.append("  c%d -> c%d;\n" * len(edges)
+                 % tuple(edges.ravel().tolist()))
+    lines.append("}\n")
+    return "".join(lines)
 
 
 def recurrent_mask(mg):
     """Boolean mask over boxes (1-D window slice ordering) of recurrence."""
     grid = mg.graph.grid
-    mask = np.zeros(grid.count, dtype=bool)
-    mask[list(mg.recurrent_boxes())] = True
-    shape = (grid.per_axis,) * grid.dims
-    return mask.reshape(shape)
+    return mg.recurrent[mg.class_of[:-1]].reshape((grid.per_axis,) * grid.dims)

@@ -185,8 +185,12 @@ def minimal_period(pmap, p, m, tol):
 def _newton_batch(pmap, x0, m, tol, max_steps=50, max_halvings=30):
     """Damped Newton on g(x) = f^m(x) - x for a batch of seeds.
 
-    Returns (points, residuals); non-converged seeds keep residual inf.
-    Seeds whose Newton system goes singular or overflows are discarded.
+    Returns (points, residuals).  A seed's residual is max |g| at the
+    last point where g was evaluated; a converged seed's is below tol.
+    Seeds whose Newton system goes singular or whose orbit overflows are
+    dropped.  A dropped seed, or one that runs out of max_steps, keeps its
+    last finite residual; only a seed that overflows at its first
+    evaluation keeps residual inf.
     """
     n = pmap.n
     x = np.array(x0, dtype=complex)

@@ -53,7 +53,6 @@ from endolab import (
     repeller_cloud,
 )
 from endolab.cli import main as cli_main
-from endolab.conley import tarjan_scc
 from endolab.julia import PointCloud, directed_distance
 from endolab.perturb import monomials
 from conftest import record_criterion
@@ -239,18 +238,18 @@ def test_criterion_3_hurley_decomposition():
         strict = all(mg.lyapunov[u] > mg.lyapunov[v]
                      for u, v in mg.dag_edges)
         oks.append(cover and strict)
-    # brute-force SCC oracle vs Tarjan at depth <= 3
+    # brute-force SCC oracle vs the csgraph classes of morse_graph, d <= 3
     scc_ok = True
     for f, win in ((BASILICA, W175), (HALF, Window.square(1, -1, 1))):
         for depth in (1, 2, 3):
             g = build_box_map(f, win, depth)
-            scc_ok &= ({frozenset(c) for c in tarjan_scc(g.succ)}
+            scc_ok &= ({frozenset(c) for c in morse_graph(g).classes}
                        == brute_scc(g.succ))
     ok = all(oks) and scc_ok
     record_criterion(
         3, ok,
         f"basin cover + strict Lyapunov (basilica d6, z/2 d4): {oks}; "
-        f"Tarjan matches brute SCC at depth <= 3: {scc_ok}")
+        f"csgraph SCCs match brute SCC at depth <= 3: {scc_ok}")
     assert ok
 
 

@@ -7,6 +7,7 @@ import os
 
 import pytest
 
+from endolab import conley
 from endolab.cli import main
 
 Z2 = {"n": 1, "components": [[{"exps": [2], "re": 1.0, "im": 0.0}]]}
@@ -175,3 +176,35 @@ class TestErrors:
         assert rc == 0
         summary = json.loads((out / "summary.json").read_text())
         assert summary["cycle_count"] == 2  # fixed points only
+
+    @pytest.mark.parametrize("cmd,key,value", [
+        ("conley", "pad_mode", '"nonsense"'),
+        ("conley", "pad_mode", '"subcell:0"'),
+        ("conley", "depth", "0"),
+        ("julia", "res", "1"),
+        ("perturb", "kind", '"spiral"'),
+    ])
+    def test_bad_subcommand_value_is_config_error(self, tmp_path, mapfile,
+                                                  cmd, key, value):
+        rc = main([cmd, "--map", mapfile(BASILICA),
+                   "--out", str(tmp_path / "o"), "--set", key, value])
+        assert rc == 2
+
+    def test_bad_hakim_dim_is_config_error(self, tmp_path):
+        rc = main(["hakim", "--out", str(tmp_path / "o"), "--set", "dim", "3"])
+        assert rc == 2
+
+    def test_library_value_error_propagates(self, tmp_path, mapfile,
+                                            monkeypatch):
+        def broken(*args, **kwargs):
+            raise ValueError("internal inconsistency")
+
+        monkeypatch.setattr(conley, "hurley_report", broken)
+        with pytest.raises(ValueError, match="internal inconsistency"):
+            main(["conley", "--map", mapfile(BASILICA),
+                  "--out", str(tmp_path / "o"), "--set", "depth", "2"])
+
+    def test_threads_flag_is_gone(self, tmp_path, mapfile):
+        with pytest.raises(SystemExit):
+            main(["periodic", "--map", mapfile(Z2),
+                  "--out", str(tmp_path / "o"), "--threads", "2"])

@@ -1,7 +1,10 @@
 """Box-graph outer approximation, Morse graphs, Lyapunov, attractors."""
 
+import itertools
+
 import numpy as np
 import pytest
+from scipy.sparse import csr_array
 
 from endolab import (
     PolyMap,
@@ -18,8 +21,9 @@ from endolab.conley import (
     box_lyapunov,
     morse_to_dot,
     recurrent_mask,
-    tarjan_scc,
+    strong_components,
 )
+from endolab.maps import map_kernel
 
 BASILICA = PolyMap.from_coeffs_1d([-1, 0, 1])
 HALF = PolyMap.from_coeffs_1d([0, 0.5])
@@ -49,6 +53,70 @@ def basilica_basin_violations(g, mg):
 def julia_class(g, mg):
     """Chain class of the box holding the repelling fixed point alpha."""
     return mg.class_of[int(g.grid.box_of_points(np.array([[ALPHA]]))[0])]
+
+
+def reference_box_map(f, win, depth, spb, pad_mode, seed=0):
+    """build_box_map one box at a time: {box: sorted successor tuple}.
+
+    Also returns the number of overflowing samples.  The samples, the
+    groups, the padded rectangles and the open-overlap test follow the
+    build_box_map docstring, written out per box and per group.
+    """
+    grid = BoxGrid(window=win, depth=depth)
+    d, per, w = grid.dims, grid.per_axis, grid.widths
+    lo = np.array([b[0] for b in win.bounds])
+    hi = np.array([b[1] for b in win.bounds])
+    kind, _, arg = pad_mode.partition(":")
+    split = int(arg) if kind == "subcell" else 0
+    ticks = np.arange(split + 1) / split if split else np.array([0.0, 1.0])
+    offs = [np.array(c) for c in itertools.product(ticks, repeat=d)]
+    offs.append(np.full(d, 0.5))
+    if spb:
+        from scipy.stats import qmc
+
+        offs.extend(qmc.Halton(d=d, scramble=True, seed=seed).random(spb))
+    offs = np.array(offs)
+    if split:
+        cell = [tuple(np.minimum((o * split).astype(int), split - 1))
+                for o in offs]
+        groups = [[i for i, c in enumerate(cell) if c == sub]
+                  for sub in itertools.product(range(split), repeat=d)]
+    else:
+        groups = [list(range(len(offs)))]
+    rad = float(w.max()) / (2.0 * max(1, split))
+    eps = 1e-12
+    succ = {INFINITY: (INFINITY,)}
+    overflows = 0
+    for box in range(grid.count):
+        base = lo + np.array(grid.lattice(box)) * w
+        zs = win.to_complex(base + offs * w)
+        img, _, ok = map_kernel(f, zs)
+        _, jac, jok = map_kernel(f, zs, jacobian=True)
+        overflows += int((ok == 0).sum())
+        targets = {INFINITY} if (ok == 0).any() else set()
+        for group in groups:
+            pts = [win.reals(img[i]) if ok[i] else np.zeros(d)
+                   for i in group]
+            if kind == "fixed":
+                pad = float(arg)
+            else:
+                pad = max(np.linalg.svd(jac[i], compute_uv=False).max()
+                          if jok[i] else 0.0 for i in group) * rad
+            a = np.min(pts, axis=0) - pad
+            b = np.max(pts, axis=0) + pad
+            if (a < lo - eps).any() or (b > hi + eps).any():
+                targets.add(INFINITY)
+            if (a >= hi).any() or (b <= lo).any():
+                continue
+            ca = np.floor((np.maximum(a, lo) - lo) / w + eps).astype(int)
+            cb = np.ceil((np.minimum(b, hi) - lo) / w - eps).astype(int) - 1
+            ca = np.clip(ca, 0, per - 1)
+            cb = np.clip(cb, 0, per - 1)
+            for c in itertools.product(*[range(ca[k], cb[k] + 1)
+                                         for k in range(d)]):
+                targets.add(grid.index(c))
+        succ[box] = tuple(sorted(targets))
+    return succ, overflows
 
 
 def brute_scc(succ):
@@ -99,6 +167,8 @@ class TestBoxGrid:
 
 
 class TestTarjan:
+    """The brute-force SCC oracle against the csgraph step morse_graph uses."""
+
     def test_matches_brute_force_on_random_graphs(self):
         rng = np.random.default_rng(8)
         for _ in range(30):
@@ -106,14 +176,24 @@ class TestTarjan:
             succ = {u: tuple(sorted(set(
                 int(v) for v in rng.integers(0, k, size=rng.integers(0, 5))
             ))) for u in range(k)}
-            mine = {frozenset(c) for c in tarjan_scc(succ)}
+            src = [u for u in range(k) for _ in succ[u]]
+            dst = [v for u in range(k) for v in succ[u]]
+            graph = csr_array((np.ones(len(src)), (src, dst)), shape=(k, k))
+            count, labels = strong_components(graph)
+            mine = {frozenset(np.flatnonzero(labels == c).tolist())
+                    for c in range(count)}
             assert mine == brute_scc(succ)
+            # classes are numbered by their minimal node
+            firsts = [int(np.flatnonzero(labels == c)[0])
+                      for c in range(count)]
+            assert firsts == sorted(firsts)
 
     def test_matches_brute_force_on_box_graphs(self):
         for f, depth in ((BASILICA, 3), (HALF, 3), (DOUBLE, 2)):
             g = build_box_map(f, W, depth)
-            mine = {frozenset(c) for c in tarjan_scc(g.succ)}
-            assert mine == brute_scc(g.succ)
+            classes = morse_graph(g).classes
+            assert {frozenset(c) for c in classes} == brute_scc(g.succ)
+            assert classes[-1] == [INFINITY]
 
 
 class TestBoxGraph:
@@ -132,6 +212,31 @@ class TestBoxGraph:
             img = BASILICA.eval(pts)
             tgt = g.grid.box_of_points(img)
             assert set(int(t) for t in tgt) <= set(g.succ[b])
+
+    @pytest.mark.parametrize("pad_mode", ["jacobian", "subcell:2",
+                                          "fixed:0.05"])
+    @pytest.mark.parametrize("case", ["basilica", "overflow", "quad2"])
+    def test_matches_per_box_reference(self, case, pad_mode):
+        quad2 = PolyMap.from_json_dict({"n": 2, "components": [
+            [{"exps": [2, 0], "re": 1.0, "im": 0.0},
+             {"exps": [0, 0], "re": -0.2, "im": 0.1}],
+            [{"exps": [0, 2], "re": 1.0, "im": 0.0},
+             {"exps": [1, 0], "re": 0.03, "im": 0.0},
+             {"exps": [0, 0], "re": 0.0, "im": 0.1}]]})
+        f, win, depths = {
+            "basilica": (BASILICA, W, (1, 2, 3)),
+            # z^2 overflows the map kernel's 1e150 limit near the corners
+            "overflow": (PolyMap.from_coeffs_1d([0, 0, 1.0]),
+                         Window.square(1, -1e80, 1e80), (2,)),
+            "quad2": (quad2, Window.square(2, -1.75, 1.75), (1, 2)),
+        }[case]
+        for depth in depths:
+            g = build_box_map(f, win, depth, pad_mode=pad_mode, seed=3)
+            ref, overflows = reference_box_map(f, win, depth, 8, pad_mode,
+                                               seed=3)
+            assert dict(g.succ) == ref
+            assert any(INFINITY in ref[b] for b in range(g.grid.count))
+            assert (overflows > 0) == (case == "overflow")
 
     def test_identity_map_all_recurrent(self):
         g = build_box_map(IDENT, Window.square(1, -1, 1), 3)
@@ -152,6 +257,13 @@ class TestMorseGraph:
                     assert L[u] == L[v]
                 else:
                     assert L[u] > L[v]
+
+    def test_cyclic_condensation_is_an_invariant_breach(self):
+        mg = morse_graph(build_box_map(HALF, Window.square(1, -1, 1), 2))
+        assert len(mg.recurrent) >= 2
+        mg.dag_edges = np.array([[0, 1], [1, 0]])
+        with pytest.raises(RuntimeError, match="not acyclic"):
+            lyapunov(mg)
 
     def test_expanding_map_recurrence_is_origin_and_infinity(self):
         g = build_box_map(DOUBLE, Window.square(1, -1, 1), 4)
