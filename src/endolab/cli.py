@@ -6,7 +6,11 @@ an override of a config key.  Outputs are deterministic under a fixed
 seed and each file embeds the config hash and tool version.
 
 Exit codes: 0 ok, 2 config error, 3 infeasible construction.  Any other
-error propagates: a library bug is not reported as a config error.
+error propagates: a library bug is not reported as a config error.  The
+subcommands check their config values before calling the library, so a
+bad value exits 2.  What only iterating can find still raises a
+ValueError: a hakim start whose orbit leaves the petal, or colliding or
+degenerate orbit points in a perturb construction.
 """
 
 from __future__ import annotations
@@ -81,6 +85,18 @@ def _positive(cfg, key, default):
     if v <= 0:
         raise ConfigError(f"{key} must be positive")
     return v
+
+
+def _points(cfg, key, default, n):
+    """Config key holding n [re, im] pairs, as an (n,) complex array."""
+    v = cfg.get(key, default)
+    try:
+        p = np.array([complex(re, im) for re, im in v])
+    except (TypeError, ValueError):
+        raise ConfigError(f"bad value for {key}: {v!r}") from None
+    if len(p) != n:
+        raise ConfigError(f"{key} needs {n} [re, im] pairs, got {len(p)}")
+    return p
 
 
 def _outdir(args):
@@ -223,11 +239,13 @@ def cmd_perturb(args):
     budget = _positive(cfg, "budget", 30 if op == "escaping" else 8)
     out = _outdir(args)
     if op == "make_periodic":
-        q = np.array([complex(re, im) for re, im in cfg.get("q", [[0.3, 0.0]])])
+        q = _points(cfg, "q", [[0.3, 0.0]] * f.n, f.n)
         m = _positive(cfg, "m", 1)
         kind = cfg.get("kind", "super_attracting")
         if kind not in ("super_attracting", "repelling", "saddle"):
             raise ConfigError(f"unknown kind {kind!r}")
+        if kind == "saddle" and f.n < 2:
+            raise ConfigError("saddle cycles need dimension >= 2")
         res = perturb.make_periodic_point(f, q, m, kind, window, budget)
         ver = {
             "kind": res["cycle"].klass,
@@ -240,10 +258,17 @@ def cmd_perturb(args):
         }
         produced = res["h"]
     elif op == "escaping":
-        q = np.array([complex(re, im) for re, im in cfg.get("q", [[1.1, 0.0]])])
+        q = _points(cfg, "q", [[1.1, 0.0]] * f.n, f.n)
         radii = cfg.get("radii", [2.0, 3.0, 4.0, 5.0])
+        if not isinstance(radii, list) or not 2 <= len(radii) <= 7:
+            raise ConfigError("radii must list 2 to 7 window radii")
         eps = float(cfg.get("eps", 1.0))
-        windows = [Window.square(f.n, -r, r) for r in radii]
+        try:
+            windows = [Window.square(f.n, -r, r) for r in radii]
+        except (TypeError, ValueError) as e:
+            raise ConfigError(f"bad radii: {e}") from None
+        if not windows[0].contains(q):
+            raise ConfigError("q must lie in the first window")
         res = perturb.escaping_construction(f, q, windows, eps, budget,
                                             seed=int(cfg["seed"]))
         ver = {
@@ -270,8 +295,10 @@ def cmd_hakim(args):
     dim = _positive(cfg, "dim", 1)
     if dim > 2:
         raise ConfigError("dim must be 1 or 2")
-    start = cfg.get("start", [[-0.2, 0.0]] * dim)
-    start = np.array([complex(re, im) for re, im in start])
+    start = _points(cfg, "start", [[-0.2, 0.0]] * dim, dim)
+    if start.any() and not ((start.real > -1.0) & (start.real < 0.0)).all():
+        raise ConfigError("start must be the origin or lie in the strip "
+                          "-1 < Re < 0")
     steps = _positive(cfg, "steps", 10_000)
     out = _outdir(args)
     rep = perturb.hakim_experiment(dim, start, steps=steps)

@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from .maps import PolyMap, Window, map_kernel
-from .periodic import find_periodic, poly_roots
+from .periodic import find_periodic
 
 
 @dataclass(frozen=True)
@@ -233,7 +233,7 @@ def inverse_iteration_cloud(pmap, depth=12, keep_last=8, seed=0):
     """Classical 1-D cross-check: random backward orbits of a polynomial.
 
     Pulls a generic start back through random preimages (roots of
-    f(z) = w found by the same polynomial solver) and keeps the tail.
+    f(z) = w from NumPy's companion-matrix `polyroots`) and keeps the tail.
     """
     if pmap.n != 1 or not pmap.is_polynomial():
         raise ValueError("inverse iteration is for 1-D polynomial maps")
@@ -247,7 +247,7 @@ def inverse_iteration_cloud(pmap, depth=12, keep_last=8, seed=0):
     for k in range(depth):
         shifted = coeffs.copy()
         shifted[0] -= w
-        roots = poly_roots(shifted)
+        roots = np.polynomial.polynomial.polyroots(shifted)
         w = complex(roots[rng.integers(len(roots))])
         if k >= depth - keep_last:
             pts.extend(complex(r) for r in roots)

@@ -224,8 +224,12 @@ def map_kernel(pmap, p, m=1, jacobian=False):
       point is ok where ``steps == m``; otherwise its value and Jacobian
       mean nothing.
 
-    Each point's result does not depend on the rest of the batch, bit for
-    bit, so a caller drops the points that are not ok and keeps the rest.
+    For ``p`` with a batch axis, each point's result does not depend on
+    the rest of the batch, bit for bit, so a caller drops the points that
+    are not ok and keeps the rest; a (1, n) batch gives the same bits as
+    its row in any larger batch.  A bare (n,) point does not: part of its
+    products go through NumPy scalar arithmetic, which can differ from
+    the array loops in the last bit.
     """
     p = _as_points(p, pmap.n)
     batch = p.shape[:-1]
@@ -453,14 +457,6 @@ class Window:
     @staticmethod
     def square(n, lo, hi):
         return Window(bounds=tuple((float(lo), float(hi)) for _ in range(2 * n)))
-
-    @staticmethod
-    def from_radius(n, r, center=None):
-        if center is None:
-            center = [0.0] * (2 * n)
-        return Window(bounds=tuple(
-            (c - r, c + r) for c in center
-        ))
 
     def reals(self, points):
         """Complex points (..., n) -> real coordinates (..., 2n)."""

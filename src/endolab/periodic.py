@@ -10,11 +10,10 @@ from __future__ import annotations
 
 import io
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
-from .maps import PolyMap, Window, map_kernel
+from .maps import map_kernel
 
 DEDUP_TOL = 1e-8
 UNIT_MARGIN = 1e-6  # |lambda| within this of 1 counts as borderline
@@ -37,77 +36,8 @@ class Cycle:
         return len(self.points)
 
 
-class EigenvalueError(RuntimeError):
-    pass
-
-
 # ---------------------------------------------------------------------------
 # eigenvalues of small complex matrices (n <= 3)
-
-
-def _char_poly(M):
-    """Monic characteristic polynomial coefficients, low degree first."""
-    M = np.asarray(M, dtype=complex)
-    n = M.shape[0]
-    tr = np.trace(M)
-    if n == 1:
-        return np.array([-M[0, 0], 1.0], dtype=complex)
-    if n == 2:
-        det = M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0]
-        return np.array([det, -tr, 1.0], dtype=complex)
-    det = np.linalg.det(M)
-    # sum of principal 2x2 minors
-    s2 = 0.0 + 0.0j
-    for i in range(3):
-        idx = [k for k in range(3) if k != i]
-        sub = M[np.ix_(idx, idx)]
-        s2 += sub[0, 0] * sub[1, 1] - sub[0, 1] * sub[1, 0]
-    return np.array([-det, s2, -tr, 1.0], dtype=complex)
-
-
-def poly_roots(coeffs, max_sweeps=200, tol=1e-14):
-    """All roots of a monic-normalizable polynomial via Durand-Kerner,
-    polished by a few plain Newton steps.  Coefficients low degree first."""
-    c = np.asarray(coeffs, dtype=complex)
-    while len(c) > 1 and c[-1] == 0:
-        c = c[:-1]
-    d = len(c) - 1
-    if d < 1:
-        return np.array([], dtype=complex)
-    c = c / c[-1]
-    scale = 1.0 + np.abs(c[:-1]).max()
-    # standard spread-out initial guesses, non-real ratio avoids symmetry locks
-    z = scale * (0.4 + 0.9j) ** np.arange(d)
-
-    def p(x):
-        acc = np.zeros_like(x)
-        for ck in c[::-1]:
-            acc = acc * x + ck
-        return acc
-
-    def dp(x):
-        acc = np.zeros_like(x)
-        for k in range(d, 0, -1):
-            acc = acc * x + k * c[k]
-        return acc
-
-    converged = False
-    for _ in range(max_sweeps):
-        diff = z[:, None] - z[None, :]
-        np.fill_diagonal(diff, 1.0)
-        denom = diff.prod(axis=1)
-        step = p(z) / denom
-        z = z - step
-        if np.abs(step).max() < tol * max(1.0, np.abs(z).max()):
-            converged = True
-            break
-    if not converged:
-        raise EigenvalueError("eigenvalue iteration failed")
-    for _ in range(3):
-        dz = dp(z)
-        safe = np.abs(dz) > 1e-300
-        z = np.where(safe, z - p(z) / np.where(safe, dz, 1.0), z)
-    return z
 
 
 def eigenvalues(M):
@@ -115,11 +45,7 @@ def eigenvalues(M):
     M = np.asarray(M, dtype=complex)
     if M.shape[0] > 3:
         raise ValueError("n <= 3 only")
-    try:
-        lam = poly_roots(_char_poly(M))
-    except EigenvalueError:
-        # Durand-Kerner cannot meet its step tolerance on clustered roots
-        lam = np.linalg.eigvals(M)
+    lam = np.linalg.eigvals(M)
     order = np.lexsort((lam.real, -np.abs(lam)))
     return lam[order]
 

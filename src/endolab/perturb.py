@@ -11,13 +11,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 import scipy.linalg
 
-from .maps import MapOverflowError, PolyMap, Window
-from .periodic import Cycle, classify, eigenvalues
+from .maps import PolyMap, map_kernel
+from .orbits import orbit, shell_points
+from .periodic import classify, eigenvalues
 
 RESIDUAL_TOL = 1e-10
 SUP_NORM_SAMPLES = 10_000
@@ -501,38 +502,24 @@ def hakim_experiment(dim, start, steps=10_000, shell_radius=0.05,
     at_origin = np.abs(start).max() == 0.0
     if not at_origin and not np.all((start.real > -1.0) & (start.real < 0.0)):
         raise ValueError("start not in petal")
-    orbit = [start]
-    for k in range(steps):
-        try:
-            nxt = f.eval(orbit[-1])
-        except MapOverflowError:
-            raise ValueError("start not in petal") from None
-        if np.abs(nxt).max() > 10.0:
-            raise ValueError("start not in petal")
-        orbit.append(nxt)
-    orbit = np.array(orbit)
-    norms = np.abs(orbit).max(axis=-1)
-    ks = np.arange(len(orbit))
+    o = orbit(f, start, steps, 10.0)
+    if o.escaped:
+        raise ValueError("start not in petal")
+    norms = np.abs(o.points).max(axis=-1)
+    ks = np.arange(len(norms))
     scaled = ks[1:] * norms[1:]  # ~ constant for parabolic decay
 
     jt = f.jet(np.zeros(dim, dtype=complex))
     multipliers = eigenvalues(jt.jacobian)
 
-    from .orbits import shell_points
-
     shell = shell_points(np.zeros(dim, dtype=complex), shell_radius, dim)
     growth = []
     for k in growth_checkpoints:
-        worst = 0.0
-        for p in shell:
-            try:
-                jk = f.iterated_jet(p, k)
-                worst = max(worst, float(
-                    np.linalg.svd(jk.jacobian, compute_uv=False).max()
-                ))
-            except MapOverflowError:
-                worst = float("inf")
-        growth.append(worst)
+        _, jac, made = map_kernel(f, shell, k, jacobian=np.eye(dim))
+        ok = made == k  # an overflowing shell point counts as inf
+        norm = np.full(len(shell), np.inf)
+        norm[ok] = np.linalg.svd(jac[ok], compute_uv=False).max(axis=-1)
+        growth.append(float(norm.max()))
     return {
         "map": f,
         "orbit_norms": norms,

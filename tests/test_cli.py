@@ -194,6 +194,30 @@ class TestErrors:
         rc = main(["hakim", "--out", str(tmp_path / "o"), "--set", "dim", "3"])
         assert rc == 2
 
+    @pytest.mark.parametrize("start", [
+        "[[0.5, 0.0]]",  # outside the strip -1 < Re < 0
+        "[[-0.2, 0.0], [-0.2, 0.0]]",  # two coordinates for dim 1
+    ])
+    def test_bad_hakim_start_is_config_error(self, tmp_path, start):
+        rc = main(["hakim", "--out", str(tmp_path / "o"),
+                   "--set", "start", start])
+        assert rc == 2
+
+    @pytest.mark.parametrize("overrides", [
+        [("kind", '"saddle"')],  # saddle cycles need n >= 2
+        [("operation", '"escaping"'),
+         ("q", "[[1.1, 0.0], [1.2, 0.0]]")],  # two points for n = 1
+        [("operation", '"escaping"'),
+         ("q", "[[2.5, 0.0]]")],  # outside the first window
+        [("operation", '"escaping"'), ("radii", "[2.0]")],  # one window
+    ], ids=["saddle_1d", "q_length", "q_outside", "one_radius"])
+    def test_bad_perturb_value_is_config_error(self, tmp_path, mapfile,
+                                               overrides):
+        argv = ["perturb", "--map", mapfile(Z2), "--out", str(tmp_path / "o")]
+        for key, value in overrides:
+            argv += ["--set", key, value]
+        assert main(argv) == 2
+
     def test_library_value_error_propagates(self, tmp_path, mapfile,
                                             monkeypatch):
         def broken(*args, **kwargs):

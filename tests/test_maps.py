@@ -123,6 +123,20 @@ class TestJets:
             assert np.array_equal(itjac[i], three.jacobian)
             assert np.array_equal(it[i], f.iterate(pts[i], 3))
 
+    def test_batch_rows_match_one_row_batches(self):
+        # a (1, n) batch goes through the same array loops as a (50, n)
+        # one; a bare (n,) point need not match in the last bit
+        rng = np.random.default_rng(8)
+        f = random_map(3, degree=8, rng=rng)
+        pts = 0.5 * (rng.normal(size=(50, 3)) + 1j * rng.normal(size=(50, 3)))
+        value = f.eval(pts)
+        jt = f.jet(pts)
+        for i in range(len(pts)):
+            assert np.array_equal(f.eval(pts[i:i + 1])[0], value[i])
+            one = f.jet(pts[i:i + 1])
+            assert np.array_equal(one.value[0], jt.value[i])
+            assert np.array_equal(one.jacobian[0], jt.jacobian[i])
+
     def test_eval_does_not_mutate_input(self):
         f = random_map(1)
         pts = np.array([[0.1 + 0.2j], [0.3 - 0.1j]])

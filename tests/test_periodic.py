@@ -5,14 +5,11 @@ import pytest
 
 from endolab import PolyMap, Window, classify, eigenvalues, find_periodic
 from endolab.periodic import (
-    EigenvalueError,
-    _char_poly,
     _newton_batch,
     classify_multipliers,
     cycles_to_csv,
     hyperbolicity_report,
     minimal_period,
-    poly_roots,
 )
 
 Z2 = PolyMap.from_coeffs_1d([0, 0, 1])
@@ -50,23 +47,6 @@ def divisors(m):
     return [d for d in range(1, m + 1) if m % d == 0]
 
 
-class TestPolyRoots:
-    def test_matches_numpy_roots(self):
-        rng = np.random.default_rng(2)
-        for _ in range(20):
-            deg = int(rng.integers(2, 7))
-            coeffs = rng.normal(size=deg + 1) + 1j * rng.normal(size=deg + 1)
-            mine = np.sort_complex(poly_roots(tuple(coeffs)))
-            ref = np.sort_complex(np.roots(coeffs[::-1]))
-            assert np.abs(mine - ref).max() < 1e-7
-
-    def test_roots_of_unity(self):
-        # z^5 - 1
-        roots = np.sort_complex(poly_roots((-1, 0, 0, 0, 0, 1)))
-        ref = np.sort_complex(np.exp(2j * np.pi * np.arange(5) / 5))
-        assert np.abs(roots - ref).max() < 1e-10
-
-
 class TestEigenvalues:
     def test_matches_lapack(self):
         rng = np.random.default_rng(4)
@@ -96,8 +76,9 @@ class TestEigenvalues:
 
     def test_clustered_multipliers_fall_back_to_lapack(self):
         # D f^2 at a 2-cycle of a triangular 3-D quadratic (the cycles
-        # benchmark's quad3_2 entry 1): three distinct multipliers near
-        # |lambda| ~ 5, on which Durand-Kerner misses its step tolerance
+        # benchmark's quad3_2 entry 1): three distinct multipliers
+        # clustered near |lambda| ~ 5, where root-finding on the
+        # characteristic polynomial loses accuracy
         M = np.array([
             [4.4076261130547678 + 0.41541085284006923j,
              7.5220545478098247e-03 + 2.7318335475087264e-02j,
@@ -106,8 +87,6 @@ class TestEigenvalues:
              7.7963434457906430e-03 + 2.8475470045668218e-02j],
             [-0.0, -0.0, 4.6941560943231613 + 0.60969412134539192j],
         ])
-        with pytest.raises(EigenvalueError):
-            poly_roots(_char_poly(M))
         ev = np.array(eigenvalues(M))
         diag = np.diag(M)
         expect = diag[np.argsort(-np.abs(diag))]

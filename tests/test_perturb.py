@@ -229,3 +229,22 @@ class TestHakim:
             hakim_experiment(1, np.array([0.5 + 0j]), steps=100)
         with pytest.raises(ValueError):
             hakim_experiment(3, np.array([-0.5, -0.5, -0.5]))
+
+    def test_dim2_double_multiplier_is_exact(self):
+        # D f(0) is the identity: the double multiplier 1 to criterion 5's
+        # 1e-12
+        out = hakim_experiment(2, np.array([-0.2 + 0j, -0.3 + 0j]), steps=100)
+        assert len(out["multipliers"]) == 2
+        assert np.abs(np.array(out["multipliers"]) - 1.0).max() < 1e-12
+
+    def test_orbit_leaving_the_petal_is_rejected(self):
+        # in the strip -1 < Re < 0, but f(start) = -25.25 leaves |z| <= 10
+        with pytest.raises(ValueError, match="start not in petal"):
+            hakim_experiment(1, np.array([-0.5 + 5j]), steps=100)
+
+    def test_overflowing_shell_point_gives_inf_growth(self):
+        # on |z| = 2 the orbit of z + z^2 escapes and D f^k overflows
+        out = hakim_experiment(1, np.array([-0.5 + 0j]), steps=10,
+                               shell_radius=2.0, growth_checkpoints=(2, 16))
+        g = out["derivative_growth"]
+        assert np.isfinite(g[2]) and g[16] == np.inf
