@@ -71,9 +71,12 @@ def _get_window(cfg, n, key="window", default_half=2.0):
     if w is None:
         return Window.square(n, -default_half, default_half)
     try:
-        return Window(bounds=tuple((float(lo), float(hi)) for lo, hi in w))
+        window = Window(bounds=tuple((float(lo), float(hi)) for lo, hi in w))
     except (TypeError, ValueError) as e:
         raise ConfigError(f"bad window: {e}") from e
+    if window.n != n:
+        raise ConfigError(f"{key} needs {2 * n} bounds for dimension {n}")
+    return window
 
 
 def _positive(cfg, key, default):
@@ -82,7 +85,7 @@ def _positive(cfg, key, default):
         v = type(default)(v)
     except (TypeError, ValueError):
         raise ConfigError(f"bad value for {key}: {v!r}") from None
-    if v <= 0:
+    if not v > 0:  # NaN too
         raise ConfigError(f"{key} must be positive")
     return v
 
@@ -144,11 +147,11 @@ def _parse_slice(cfg):
     s = cfg.get("slice")
     if s is None:
         return ()
-    if isinstance(s, str):
-        parts = [float(v) for v in s.split(",")]
-    else:
-        parts = [float(v) for v in s]
-    return tuple(parts)
+    try:
+        return tuple(float(v) for v in (s.split(",") if isinstance(s, str)
+                                        else s))
+    except (TypeError, ValueError):
+        raise ConfigError(f"bad value for slice: {s!r}") from None
 
 
 def cmd_julia(args):
@@ -167,6 +170,8 @@ def cmd_julia(args):
             R = escape_radius(f)
         except ValueError as e:
             raise ConfigError(f"supply R in config: {e}") from e
+    else:
+        _positive(cfg, "R", 1.0)  # grid.json keeps R as given
     fixed = _parse_slice(cfg)
     if f.n > 1 and len(fixed) != 2 * f.n - 2:
         raise ConfigError("n=2 grids need --slice re0,im0 for the other "
@@ -215,6 +220,12 @@ def cmd_conley(args):
     except ValueError as e:
         raise ConfigError(str(e)) from None
     petal = cfg.get("petal_threshold")
+    if petal is not None:
+        try:
+            petal = float(petal)
+        except (TypeError, ValueError):
+            raise ConfigError(
+                f"bad value for petal_threshold: {petal!r}") from None
     out = _outdir(args)
     report, g, mg, recs = conley.hurley_report(
         f, window, depth, samples_per_box=spb, pad_mode=pad_mode,
@@ -262,7 +273,7 @@ def cmd_perturb(args):
         radii = cfg.get("radii", [2.0, 3.0, 4.0, 5.0])
         if not isinstance(radii, list) or not 2 <= len(radii) <= 7:
             raise ConfigError("radii must list 2 to 7 window radii")
-        eps = float(cfg.get("eps", 1.0))
+        eps = _positive(cfg, "eps", 1.0)
         try:
             windows = [Window.square(f.n, -r, r) for r in radii]
         except (TypeError, ValueError) as e:

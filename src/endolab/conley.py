@@ -81,7 +81,6 @@ class BoxGrid:
 
     def centers(self):
         """Complex centers of all boxes, (count, n)."""
-        axes = []
         lo = np.array([b[0] for b in self.window.bounds])
         w = self.widths
         mesh = np.meshgrid(
@@ -98,24 +97,6 @@ class BoxGrid:
         w = self.widths
         a = lo + w * np.array(lat)
         return a, a + w
-
-    def box_samples(self, index, samples_per_box, seed=0):
-        """Corners + center + quasi-random interior points, as reals."""
-        a, b = self.box_bounds(index)
-        d = self.dims
-        corners = np.array(
-            [[(b if (m >> k) & 1 else a)[k] for k in range(d)]
-             for m in range(2 ** d)]
-        )
-        center = (a + b) / 2
-        pts = [corners, center[None, :]]
-        if samples_per_box > 0:
-            from scipy.stats import qmc
-
-            eng = qmc.Halton(d=d, scramble=True, seed=seed)
-            u = eng.random(samples_per_box)
-            pts.append(a + u * (b - a))
-        return np.concatenate(pts, axis=0)
 
 
 @dataclass(eq=False)
@@ -149,19 +130,17 @@ class BoxGraph:
 
 
 def pad_spec(pad_mode):
-    """`pad_mode` -> (fixed pad or None, subcells per axis or 0).
+    """`pad_mode` -> subcells per axis: `jacobian` is 1, `subcell[:s]` is s.
 
     Raises ValueError for a mode that build_box_map does not know.
     """
     kind, sep, arg = str(pad_mode).partition(":")
-    if kind == "fixed" and sep:
-        return float(arg), 0
+    if kind == "jacobian" and not sep:
+        return 1
     if kind == "subcell":
         split = int(arg) if sep else 2
         if split >= 1:
-            return None, split
-    elif kind == "jacobian" and not sep:
-        return None, 0
+            return split
     raise ValueError(f"unknown pad_mode {pad_mode!r}")
 
 
@@ -181,22 +160,21 @@ def build_box_map(pmap, window, depth, samples_per_box=8, pad_mode="subcell:2",
                   seed=0):
     """Outer approximation of the map on a box grid.
 
-    Per box: evaluate at corners + center + quasi-random interior points,
-    bound the images by rectangles padded with a Jacobian-norm-based
-    margin, and link to every box meeting a padded rectangle.  Images
-    past the window edge (or overflow) become edges to `infinity`.
+    Per box: split it into s^d subcells and evaluate at the subcell
+    corner lattice, the box center and samples_per_box quasi-random
+    interior points.  Each subcell's samples give one image rectangle,
+    padded by their largest Jacobian operator norm times the subcell
+    radius; the box links to every box meeting a padded rectangle.
+    Images past the window edge (or overflow) become edges to `infinity`.
 
     pad_mode:
-      `subcell:s` (default s=2) - split the box into s^d subcells, one
-          rectangle per subcell from its corner images, pad = max corner
-          operator norm times the subcell radius.  Tightest.
-      `jacobian` - single rectangle over all samples, pad = max sampled
-          operator norm times the box radius.  Coarse but cheap.
-      `fixed:c` - single rectangle, constant pad c.
+      `subcell:s` (default s=2) - s subcells per axis.  Tighter as s grows.
+      `jacobian` - `subcell:1`: one rectangle over all samples, padded by
+          the largest sampled operator norm times the box radius.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    fixed_pad, split = pad_spec(pad_mode)
+    split = pad_spec(pad_mode)
     grid = BoxGrid(window=window, depth=depth)
     d = grid.dims
     per = grid.per_axis
@@ -204,19 +182,11 @@ def build_box_map(pmap, window, depth, samples_per_box=8, pad_mode="subcell:2",
     lo = np.array([b[0] for b in window.bounds])
     hi = np.array([b[1] for b in window.bounds])
 
-    # shared in-box sample offsets (unit cube), same for every box
-    if split:
-        # subcell corner lattice (includes the box corners) + center
-        axes = [np.arange(split + 1) / split] * d
-        lattice = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
-        lattice = lattice.reshape(-1, d)
-        offs = [lattice, np.full((1, d), 0.5)]
-    else:
-        corners = np.array(
-            [[(m >> k) & 1 for k in range(d)] for m in range(2 ** d)],
-            dtype=float,
-        )
-        offs = [corners, np.full((1, d), 0.5)]
+    # shared in-box sample offsets (unit cube), same for every box: the
+    # subcell corner lattice (includes the box corners) + center
+    axes = [np.arange(split + 1) / split] * d
+    lattice = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+    offs = [lattice.reshape(-1, d), np.full((1, d), 0.5)]
     if samples_per_box > 0:
         from scipy.stats import qmc
 
@@ -225,13 +195,12 @@ def build_box_map(pmap, window, depth, samples_per_box=8, pad_mode="subcell:2",
     offs = np.concatenate(offs, axis=0)  # (S, d)
     S = len(offs)
 
-    # group samples: one group per subcell (or a single group)
+    # group samples: one group per subcell
     group_of = np.zeros(S, dtype=int)
-    if split:
-        cellpos = np.minimum((offs * split).astype(int), split - 1)
-        for a in range(d):
-            group_of = group_of * split + cellpos[:, a]
-    sels = [group_of == gidx for gidx in range(max(1, split ** d))]
+    cellpos = np.minimum((offs * split).astype(int), split - 1)
+    for a in range(d):
+        group_of = group_of * split + cellpos[:, a]
+    sels = [group_of == gidx for gidx in range(split ** d)]
     sels = [sel for sel in sels if sel.any()]
 
     lat = np.stack(
@@ -247,21 +216,17 @@ def build_box_map(pmap, window, depth, samples_per_box=8, pad_mode="subcell:2",
     over = reached == 0
     img[over] = 0.0
 
-    if fixed_pad is None:
-        _, jac, reached = map_kernel(pmap, zs, jacobian=True)
-        good = reached == 1
-        opn = np.zeros(len(zs))
-        opn[good] = np.linalg.svd(jac[good], compute_uv=False).max(axis=-1)
-        opn = opn.reshape(B, S)
+    _, jac, reached = map_kernel(pmap, zs, jacobian=True)
+    good = reached == 1
+    opn = np.zeros(len(zs))
+    opn[good] = np.linalg.svd(jac[good], compute_uv=False).max(axis=-1)
+    opn = opn.reshape(B, S)
     img_r = window.reals(img).reshape(B, S, d)
     over = over.reshape(B, S)
 
     # padded image rectangle [a, b] of each box and sample group, (B, G, d)
-    rad = float(w.max()) / (2.0 * max(1, split))
-    if fixed_pad is None:
-        pad = np.stack([opn[:, sel].max(axis=1) * rad for sel in sels], 1)
-    else:
-        pad = np.full((B, len(sels)), fixed_pad)
+    rad = float(w.max()) / (2.0 * split)
+    pad = np.stack([opn[:, sel].max(axis=1) * rad for sel in sels], 1)
     eps = 1e-12
     a = np.stack([img_r[:, sel].min(axis=1) for sel in sels], 1)
     a -= pad[..., None]

@@ -102,20 +102,20 @@ class PointCloud:
 
 
 def dedup_points(pts, tol=1e-8):
-    """Deterministic dedup at sup-norm tol, preserving sorted order."""
-    pts = np.asarray(pts, dtype=complex).reshape(-1, pts.shape[-1])
-    if len(pts) == 0:
-        return pts
-    key = np.lexsort(
-        tuple(pts[:, j].imag for j in reversed(range(pts.shape[1])))
-        + tuple(pts[:, j].real for j in reversed(range(pts.shape[1])))
-    )
-    pts = pts[key]
-    keep = [pts[0]]
-    for q in pts[1:]:
-        if np.abs(q - keep[-1]).max() >= tol:
-            keep.append(q)
-    return np.array(keep)
+    """Deterministic dedup at sup-norm tol, preserving sorted order: sort
+    by (re p_1..re p_n, im p_1..im p_n), drop each point within tol of a
+    kept one."""
+    pts = np.asarray(pts, dtype=complex)
+    pts = pts.reshape(-1, pts.shape[-1])
+    pts = pts[np.lexsort(np.hstack([pts.real, pts.imag]).T[::-1])]
+    # points first[i]..i-1 are the ones within tol of point i on re p_1
+    lead = pts[:, 0].real
+    first = np.searchsorted(lead, lead - tol, side="right")
+    kept = np.zeros(len(pts), dtype=bool)
+    for i, j in enumerate(first):
+        near = pts[j:i][kept[j:i]]
+        kept[i] = not (np.abs(near - pts[i]).max(axis=-1) < tol).any()
+    return pts[kept]
 
 
 def boundary_extract(grid):

@@ -14,7 +14,8 @@ from typing import Optional
 
 import numpy as np
 
-from .maps import MapOverflowError, PolyMap, Window, map_kernel
+from .julia import dedup_points
+from .maps import escape_radius, map_kernel
 
 N_MAX_DEFAULT = 2000
 BURN_IN_DEFAULT = 500
@@ -47,10 +48,11 @@ def orbit(pmap, p, n_max, R):
             return Orbit(points=np.array(pts), escaped=True, escape_index=k)
         if k == n_max:
             break
-        try:
-            pts.append(pmap.eval(pts[-1]))
-        except MapOverflowError:
+        # the bare (n,) point, as PolyMap.eval takes it: the same bits
+        x, _, steps = map_kernel(pmap, pts[-1])
+        if steps < 1:
             return Orbit(points=np.array(pts), escaped=True, escape_index=k + 1)
+        pts.append(x)
     return Orbit(points=np.array(pts), escaped=False, escape_index=None)
 
 
@@ -66,20 +68,15 @@ def orbit_to_csv(o):
 
 def omega_limit(pmap, p, R, burn_in=BURN_IN_DEFAULT, samples=SAMPLES_DEFAULT,
                 cluster_tol=1e-3):
-    """Cluster representatives of the orbit tail.
+    """Cluster representatives of the orbit tail, in sorted order.
 
-    Greedy sup-norm clustering at cluster_tol; raises if the orbit escapes
-    before the sampling window completes.
+    Dedup at cluster_tol in sup-norm (julia.dedup_points); raises if the
+    orbit escapes before the sampling window completes.
     """
     o = orbit(pmap, p, burn_in + samples, R)
     if o.escaped:
         raise ValueError("orbit escaped")
-    tail = o.points[burn_in:]
-    reps = []
-    for q in tail:
-        if not any(np.abs(q - r).max() < cluster_tol for r in reps):
-            reps.append(q)
-    return reps
+    return list(dedup_points(o.points[burn_in:], tol=cluster_tol))
 
 
 # ---------------------------------------------------------------------------
@@ -87,32 +84,9 @@ def omega_limit(pmap, p, R, burn_in=BURN_IN_DEFAULT, samples=SAMPLES_DEFAULT,
 
 
 def basin_test_B1(pmap, cycle, p, n_max=N_MAX_DEFAULT, tol=1e-6, R=None):
-    """True iff the subsampled orbit f^{mk}(p) enters and stays within tol
-    of a single cycle point through the horizon."""
-    if cycle.klass not in ("attracting", "super_attracting"):
-        raise ValueError("cycle must be attracting")
-    m = cycle.period
-    p = np.asarray(p, dtype=complex).reshape(pmap.n)
-    if R is None:
-        R = _default_radius(pmap, cycle)
-    x = p
-    locked = None  # index of the cycle point being tracked
-    steps = max(1, n_max // m)
-    for _ in range(steps):
-        try:
-            x = pmap.iterate(x, m)
-        except MapOverflowError:
-            return False
-        if np.abs(x).max() > R:
-            return False
-        d = [np.abs(x - q).max() for q in cycle.points]
-        j = int(np.argmin(d))
-        if locked is None:
-            if d[j] < tol:
-                locked = j
-        elif j != locked or d[j] >= tol:
-            return False
-    return locked is not None
+    """basin_mask at the single point p."""
+    p = np.asarray(p, dtype=complex).reshape(1, pmap.n)
+    return bool(basin_mask(pmap, cycle, p, n_max=n_max, tol=tol, R=R)[0])
 
 
 def basin_test_B2prime(pmap, cycle, p, radius, n_max=N_MAX_DEFAULT, tol=1e-6,
@@ -129,9 +103,8 @@ def basin_test_B2prime(pmap, cycle, p, radius, n_max=N_MAX_DEFAULT, tol=1e-6,
     cyc = np.array([np.asarray(q).reshape(pmap.n) for q in cycle.points])
     entered = np.zeros(len(pts), dtype=bool)
     for _ in range(n_max):
-        try:
-            x = pmap.eval(x)
-        except MapOverflowError:
+        x, _, steps = map_kernel(pmap, x)
+        if (steps < 1).any():
             return False
         if np.any(np.abs(x).max(axis=-1) > R):
             return False
@@ -144,8 +117,6 @@ def basin_test_B2prime(pmap, cycle, p, radius, n_max=N_MAX_DEFAULT, tol=1e-6,
 
 
 def _default_radius(pmap, cycle):
-    from .maps import escape_radius
-
     try:
         R = escape_radius(pmap)
     except ValueError:
@@ -170,11 +141,16 @@ def shell_points(center, radius, n, per_pair=SHELL_POINTS):
 
 
 # ---------------------------------------------------------------------------
-# vectorized basin mask (same predicate as basin_test_B1, batched)
+# vectorized basin mask (basin_test_B1 is this at one point)
 
 
 def basin_mask(pmap, cycle, points, n_max=N_MAX_DEFAULT, tol=1e-6, R=None):
-    """basin_test_B1 evaluated at many points at once; returns a bool array."""
+    """The B1 predicate at many points at once; returns a bool array.
+
+    A point passes iff its subsampled orbit f^{mk}(p) enters and stays
+    within tol of a single cycle point through the horizon, never
+    overflowing or leaving the sup-norm ball of radius R.
+    """
     if cycle.klass not in ("attracting", "super_attracting"):
         raise ValueError("cycle must be attracting")
     pts = np.asarray(points, dtype=complex).reshape(-1, pmap.n)
@@ -240,9 +216,8 @@ def rne_probe(pmap, p, nbhd_radius, K, pert_count=8, pert_eps=1e-3,
         for _ in range(horizon):
             if not bool(K.contains(x).all()):
                 return False
-            try:
-                x = g.eval(x)
-            except MapOverflowError:
+            x, _, steps = map_kernel(g, x)
+            if (steps < 1).any():
                 return False
         if not bool(K.contains(x).all()):
             return False

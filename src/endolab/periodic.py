@@ -149,12 +149,11 @@ def _newton_batch(pmap, x0, m, tol, max_steps=50, max_halvings=30):
             try:
                 step = np.linalg.solve(J, g[..., None])[..., 0]
             except np.linalg.LinAlgError:
+                # the same LU finds a zero pivot exactly where the sign of
+                # the determinant is 0; those seeds are singular
+                ok = np.linalg.slogdet(J)[0] != 0
                 step = np.full_like(g, np.nan)
-                for t in range(len(idx)):
-                    try:
-                        step[t] = np.linalg.solve(J[t], g[t])
-                    except np.linalg.LinAlgError:
-                        pass
+                step[ok] = np.linalg.solve(J[ok], g[ok, :, None])[..., 0]
         ok = np.isfinite(step).all(axis=-1)
         active[idx[~ok]] = False
         idx, step, r = idx[ok], step[ok], r[ok]

@@ -13,6 +13,7 @@ from endolab.cli import main
 Z2 = {"n": 1, "components": [[{"exps": [2], "re": 1.0, "im": 0.0}]]}
 BASILICA = {"n": 1, "components": [[{"exps": [2], "re": 1.0, "im": 0.0},
                                     {"exps": [0], "re": -1.0, "im": 0.0}]]}
+FOUR_BOUNDS = "[[-2, 2], [-2, 2], [-2, 2], [-2, 2]]"
 
 
 @pytest.fixture()
@@ -180,9 +181,18 @@ class TestErrors:
     @pytest.mark.parametrize("cmd,key,value", [
         ("conley", "pad_mode", '"nonsense"'),
         ("conley", "pad_mode", '"subcell:0"'),
+        ("conley", "pad_mode", '"fixed:0.05"'),
         ("conley", "depth", "0"),
+        ("conley", "petal_threshold", '"x"'),
         ("julia", "res", "1"),
+        ("julia", "slice", '"a,b"'),
+        ("julia", "R", '"x"'),
+        ("julia", "R", "-1"),
         ("perturb", "kind", '"spiral"'),
+        # four bounds are a 2-D window; the map is 1-D
+        ("periodic", "window", FOUR_BOUNDS),
+        ("julia", "window", FOUR_BOUNDS),
+        ("conley", "window", FOUR_BOUNDS),
     ])
     def test_bad_subcommand_value_is_config_error(self, tmp_path, mapfile,
                                                   cmd, key, value):
@@ -210,7 +220,10 @@ class TestErrors:
         [("operation", '"escaping"'),
          ("q", "[[2.5, 0.0]]")],  # outside the first window
         [("operation", '"escaping"'), ("radii", "[2.0]")],  # one window
-    ], ids=["saddle_1d", "q_length", "q_outside", "one_radius"])
+        [("operation", '"escaping"'), ("eps", '"x"')],
+        [("K", FOUR_BOUNDS)],  # a 2-D window for a 1-D map
+    ], ids=["saddle_1d", "q_length", "q_outside", "one_radius", "eps_string",
+            "K_bounds"])
     def test_bad_perturb_value_is_config_error(self, tmp_path, mapfile,
                                                overrides):
         argv = ["perturb", "--map", mapfile(Z2), "--out", str(tmp_path / "o")]

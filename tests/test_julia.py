@@ -80,6 +80,11 @@ class TestClouds:
         pts = np.array([[0j], [1e-12 + 0j], [1.0 + 0j], [1.0 + 2e-8j]])
         out = dedup_points(pts, tol=1e-8)
         assert len(out) == 3
+        # the conjugate sorts between the two copies of 0.3 + 0.5i
+        pts = np.array([[0.3 + 0.5j], [0.3 - 0.5j + 1e-13],
+                        [0.3 + 0.5j + 2e-13]])
+        out = dedup_points(pts, tol=1e-8)
+        assert np.array_equal(out, pts[:2])
 
     def test_dedup_deterministic_under_permutation(self):
         rng = np.random.default_rng(0)

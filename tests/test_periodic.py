@@ -94,15 +94,20 @@ class TestEigenvalues:
 
 
 class TestNewtonBatch:
-    def test_overflowing_seed_is_dropped(self):
+    @pytest.mark.parametrize("f,m,bad,res_bad", [
+        (BASILICA, 2, 1e80, np.inf),  # the orbit overflows
+        (Z2, 1, 0.5, 0.25),  # J = f'(0.5) - 1 = 0: the system is singular
+    ], ids=["overflow", "singular"])
+    def test_overflowing_seed_is_dropped(self, f, m, bad, res_bad):
         seeds = W2.sample(64, seed=3)
-        pts, res = _newton_batch(BASILICA, seeds, 2, 1e-10)
-        more = np.vstack([seeds, [[1e80 + 0j]]])
-        pts2, res2 = _newton_batch(BASILICA, more, 2, 1e-10)
+        pts, res = _newton_batch(f, seeds, m, 1e-10)
+        more = np.vstack([seeds, [[bad + 0j]]])
+        pts2, res2 = _newton_batch(f, more, m, 1e-10)
         # the other seeds are unchanged, bit for bit; the bad one is dropped
+        # where it started, with the residual it had there
         assert np.array_equal(pts2[:-1], pts)
         assert np.array_equal(res2[:-1], res)
-        assert res2[-1] == np.inf
+        assert pts2[-1, 0] == bad and res2[-1] == res_bad
         assert (res < 1e-10).sum() > 32
 
 
