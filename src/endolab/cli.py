@@ -278,6 +278,8 @@ def cmd_perturb(args):
             windows = [Window.square(f.n, -r, r) for r in radii]
         except (TypeError, ValueError) as e:
             raise ConfigError(f"bad radii: {e}") from None
+        if any(a >= b for a, b in zip(radii, radii[1:])):
+            raise ConfigError("radii must strictly increase")
         if not windows[0].contains(q):
             raise ConfigError("q must lie in the first window")
         res = perturb.escaping_construction(f, q, windows, eps, budget,

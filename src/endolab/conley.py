@@ -165,7 +165,8 @@ def build_box_map(pmap, window, depth, samples_per_box=8, pad_mode="subcell:2",
     interior points.  Each subcell's samples give one image rectangle,
     padded by their largest Jacobian operator norm times the subcell
     radius; the box links to every box meeting a padded rectangle.
-    Images past the window edge (or overflow) become edges to `infinity`.
+    Images past the window edge, and samples whose value or Jacobian
+    overflows, become edges to `infinity`.
 
     pad_mode:
       `subcell:s` (default s=2) - s subcells per axis.  Tighter as s grows.
@@ -211,15 +212,13 @@ def build_box_map(pmap, window, depth, samples_per_box=8, pad_mode="subcell:2",
     samples = base[:, None, :] + offs[None, :, :] * w  # (B, S, d)
     zs = window.to_complex(samples.reshape(-1, d))  # (B*S, n)
 
-    # an overflowing sample maps to infinity, and its operator norm is 0
-    img, _, reached = map_kernel(pmap, zs)
+    # a sample whose value or Jacobian overflows maps to infinity, and its
+    # operator norm is 0; the extra edge to infinity only enlarges the map
+    img, jac, reached = map_kernel(pmap, zs, jacobian=True)
     over = reached == 0
     img[over] = 0.0
-
-    _, jac, reached = map_kernel(pmap, zs, jacobian=True)
-    good = reached == 1
     opn = np.zeros(len(zs))
-    opn[good] = np.linalg.svd(jac[good], compute_uv=False).max(axis=-1)
+    opn[~over] = np.linalg.svd(jac[~over], compute_uv=False).max(axis=-1)
     opn = opn.reshape(B, S)
     img_r = window.reals(img).reshape(B, S, d)
     over = over.reshape(B, S)

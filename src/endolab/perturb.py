@@ -16,6 +16,7 @@ from typing import Optional
 import numpy as np
 import scipy.linalg
 
+from .julia import dedup_points
 from .maps import PolyMap, map_kernel
 from .orbits import orbit, shell_points
 from .periodic import classify, eigenvalues
@@ -57,45 +58,44 @@ class Correction:
 
 def monomials(n, degree_budget):
     """Multi-indices of total degree <= budget, graded lexicographic."""
-    out = []
-    for total in range(degree_budget + 1):
-        for exps in product(range(total + 1), repeat=n):
-            if sum(exps) == total:
-                out.append(exps)
-    return out
+    return sorted((e for e in product(range(degree_budget + 1), repeat=n)
+                   if sum(e) <= degree_budget), key=sum)
 
 
-def _constraint_rows(points_with_jets, basis, n):
-    """Rows of the (shared-per-component) linear system.
+def _monomial_table(pts, basis, jacobian):
+    """Every basis monomial at every point: values (N, M) and, when
+    `jacobian`, the derivatives (N, M, n), entry [i, k, j] = d/dz_j of
+    monomial k at point i.
 
-    For each constraint point: one value row (the monomial values) and,
-    when a Jacobian is prescribed, n derivative rows (d/dz_j of each
-    monomial).  Returns (A, row layout descriptors).
+    Each entry is a product over the last axis in coordinate order:
+    z_0^e_0 * z_1^e_1 * ..., and e_j * z_0^a_0 * ... with a_j = e_j - 1
+    for the derivative (exactly 0 where e_j = 0).  A short reduction
+    multiplies in that order, so the entries carry the bits of the scalar
+    products `z ** e`, which element-wise array products do not.
     """
-    rows = []
-    for at, want_jac in points_with_jets:
-        vals = np.array([_mono(at, e) for e in basis])
-        rows.append(vals)
-        if want_jac:
-            for j in range(n):
-                rows.append(np.array([_dmono(at, e, j) for e in basis]))
-    return np.array(rows)
+    z = np.asarray(pts, dtype=complex)
+    E = np.array(basis)
+    values = np.power(z[:, None, :], E).prod(axis=-1)
+    if not jacobian:
+        return values, None
+    lowered = np.maximum(E[:, None, :] - np.eye(E.shape[1], dtype=int), 0)
+    powers = np.power(z[:, None, None, :], lowered)  # (N, M, n, n)
+    lead = np.broadcast_to(E[..., None], powers.shape[:-1] + (1,))
+    derivs = np.concatenate([lead, powers], axis=-1).prod(axis=-1)
+    derivs[:, E == 0] = 0.0
+    return values, derivs
 
 
-def _mono(p, exps):
-    v = 1.0 + 0.0j
-    for z, e in zip(p, exps):
-        v *= z ** e
-    return v
+def _jet_rows(values, jacobians, pinned):
+    """Constraint rows in their layout: per point its value row, then,
+    where the Jacobian is pinned, its n rows d/dz_j, j = 0..n-1.
 
-
-def _dmono(p, exps, j):
-    if exps[j] == 0:
-        return 0.0 + 0.0j
-    v = complex(exps[j])
-    for k, (z, e) in enumerate(zip(p, exps)):
-        v *= z ** (e - 1 if k == j else e)
-    return v
+    values (N, K) and jacobians (N, K, n), for K outputs -> rows (R, K).
+    """
+    rows = np.concatenate([values[:, None], jacobians.transpose(0, 2, 1)], 1)
+    keep = np.ones(rows.shape[:2], dtype=bool)
+    keep[:, 1:] = pinned[:, None]
+    return rows[keep]
 
 
 def _add_terms(pmap, basis, coeffs):
@@ -111,12 +111,9 @@ def _add_terms(pmap, basis, coeffs):
 
 
 def _delta_map(n, basis, coeffs):
-    comps = []
-    for i in range(n):
-        comps.append(tuple(
-            (e, complex(c)) for e, c in zip(basis, coeffs[:, i]) if c != 0
-        ))
-    return PolyMap(n=n, components=tuple(comps), allow_constant=True)
+    comps = tuple(tuple((e, complex(c)) for e, c in zip(basis, col) if c != 0)
+                  for col in coeffs.T)
+    return PolyMap(n=n, components=comps, allow_constant=True)
 
 
 def _boundary_grid(K, per_axis):
@@ -124,8 +121,7 @@ def _boundary_grid(K, per_axis):
     function's modulus peaks)."""
     axes = [np.linspace(lo, hi, per_axis) for lo, hi in K.bounds]
     mesh = np.meshgrid(*axes, indexing="ij")
-    reals = np.stack([m.ravel() for m in mesh], axis=-1)
-    return reals[..., 0::2] + 1j * reals[..., 1::2]
+    return K.to_complex(np.stack([m.ravel() for m in mesh], axis=-1))
 
 
 def sampled_sup_norm(delta, K, samples=SUP_NORM_SAMPLES, seed=0):
@@ -141,7 +137,12 @@ def interpolate_correction(f, constraints, degree_budget, K,
     """Least-norm coefficient correction meeting value/1-jet constraints.
 
     The linear system decouples per component (each component of the
-    correction uses the same monomial basis), and is solved by
+    correction uses the same monomial basis).  `_monomial_table` gives
+    the basis values and derivatives at the constraint points, and
+    `_jet_rows` lays them out: per point a value row, then n derivative
+    rows where the Jacobian is pinned.  The right-hand side (target jet
+    minus f's) and the re-verification of the built delta use the same
+    layout.  The system is solved by
     column-pivoted QR (complete orthogonal factorization), which yields
     the minimum-norm solution of an underdetermined consistent system.
 
@@ -155,35 +156,26 @@ def interpolate_correction(f, constraints, degree_budget, K,
     """
     n = f.n
     basis = monomials(n, degree_budget)
-    pts = [np.asarray(c.at, dtype=complex).reshape(n) for c in constraints]
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            if np.abs(pts[i] - pts[j]).max() < 1e-8:
-                raise ValueError("constraint points must be pairwise distinct")
-
     if not constraints:
-        zero = np.zeros((len(basis), n), dtype=complex)
-        delta = _delta_map(n, basis, zero)
+        delta = _delta_map(n, basis, np.zeros((len(basis), n)))
         return Correction(base=f, delta=delta, corrected=f,
                           sup_norm_on_K=0.0, constraint_residual=0.0,
                           coeff_norm=0.0, condition_number=1.0)
+    pts = np.array([c.at for c in constraints], dtype=complex).reshape(-1, n)
+    if len(dedup_points(pts)) < len(pts):
+        raise ValueError("constraint points must be pairwise distinct")
 
-    A = _constraint_rows(
-        [(p, c.jacobian is not None) for p, c in zip(pts, constraints)],
-        basis, n,
-    )
-    # right-hand side: what delta must contribute on top of f
-    rhs_rows = []
-    for p, c in zip(pts, constraints):
-        jt = f.jet(p)
-        rhs_rows.append(np.asarray(c.value, dtype=complex).reshape(n)
-                        - jt.value)
-        if c.jacobian is not None:
-            want = np.asarray(c.jacobian, dtype=complex).reshape(n, n)
-            diff = want - jt.jacobian
-            for j in range(n):
-                rhs_rows.append(diff[:, j])
-    B = np.array(rhs_rows)  # (rows, n); column i is component i's rhs
+    pinned = np.array([c.jacobian is not None for c in constraints])
+    A = _jet_rows(*_monomial_table(pts, basis, True), pinned)
+    # right-hand side: what delta must contribute on top of f.  Jets stay
+    # at bare (n,) points: (1, n) batches can differ in the last bit
+    jets = [f.jet(p) for p in pts]
+    want = np.array([c.value for c in constraints], dtype=complex)
+    want_jac = np.array([np.zeros((n, n)) if c.jacobian is None
+                         else c.jacobian for c in constraints], dtype=complex)
+    B = _jet_rows(want.reshape(-1, n) - [jt.value for jt in jets],
+                  want_jac.reshape(-1, n, n) - [jt.jacobian for jt in jets],
+                  pinned)  # (rows, n); column i is component i's rhs
 
     if A.shape[0] > A.shape[1]:
         raise InfeasibleError(
@@ -199,7 +191,7 @@ def interpolate_correction(f, constraints, degree_budget, K,
     # row-relative residual: high-degree monomial rows carry entries of
     # order |z|^degree, where an absolute test would only measure roundoff
     scale = np.abs(A) @ np.abs(x) + np.abs(B) + 1.0
-    residual = float((np.abs(A @ x - B) / scale).max()) if A.size else 0.0
+    residual = float((np.abs(A @ x - B) / scale).max())
     if residual > 1e-8:
         raise InfeasibleError(
             "constraint system infeasible; raise degree_budget"
@@ -207,7 +199,7 @@ def interpolate_correction(f, constraints, degree_budget, K,
     # true kernel of A from the well-scaled system, re-orthonormalized,
     # and the genuine minimum-norm solution by projecting the kernel out
     u_, s_, vh_ = np.linalg.svd(As)
-    rank = int((s_ > 1e-10 * s_.max()).sum()) if s_.size else 0
+    rank = int((s_ > 1e-10 * s_.max()).sum())
     Vk = vh_[rank:].conj().T / D[:, None]
     if Vk.shape[1]:
         Vk, _ = np.linalg.qr(Vk)
@@ -220,7 +212,7 @@ def interpolate_correction(f, constraints, degree_budget, K,
                 pts_s.append(np.asarray(suppress_points,
                                         dtype=complex).reshape(-1, n))
             pts_s = np.concatenate(pts_s)
-            Bs = np.array([[_mono(p, e) for e in basis] for p in pts_s])
+            Bs = _monomial_table(pts_s, basis, False)[0]
             M = Bs @ Vk
             Dm = np.linalg.norm(M, axis=0)
             Dm[Dm == 0] = 1.0
@@ -244,26 +236,17 @@ def interpolate_correction(f, constraints, degree_budget, K,
             x = x + Vk @ (best / Dm[:, None])
     elif minimize != "coeff":
         raise ValueError(f"unknown minimize mode {minimize!r}")
-    sv = s_[:rank] if s_.size else s_
-    cond = float(sv.max() / sv[sv > 0].min()) if sv.size else 1.0
+    cond = float(s_[0] / s_[rank - 1])
     delta = _delta_map(n, basis, x)
     corrected = _add_terms(f, basis, x)
     # re-verify the built polynomial at the constraint points: with badly
     # conditioned interpolation (e.g. clustered points) the linear system
     # can be solved while the evaluated polynomial loses the constraints
     # to cancellation in its large coefficients
-    row = 0
-    viol = 0.0
-    for p, c in zip(pts, constraints):
-        jt_d = delta.jet(p)
-        viol = max(viol, float((np.abs(jt_d.value - B[row])
-                                / (1.0 + np.abs(B[row]))).max()))
-        row += 1
-        if c.jacobian is not None:
-            for j in range(n):
-                viol = max(viol, float((np.abs(jt_d.jacobian[:, j] - B[row])
-                                        / (1.0 + np.abs(B[row]))).max()))
-                row += 1
+    jets = [delta.jet(p) for p in pts]
+    got = _jet_rows(np.array([jt.value for jt in jets]),
+                    np.array([jt.jacobian for jt in jets]), pinned)
+    viol = float((np.abs(got - B) / (1.0 + np.abs(B))).max())
     residual = max(residual, viol)
     if viol > 1e-8:
         raise InfeasibleError(
@@ -294,10 +277,8 @@ def close_orbit(f, q, m, prescribed_jac, K, budget):
     orbit = [q]
     for _ in range(m):
         orbit.append(f.eval(orbit[-1]))
-    for i in range(len(orbit)):
-        for j in range(i + 1, len(orbit)):
-            if np.abs(orbit[i] - orbit[j]).max() < 1e-8:
-                raise ValueError("orbit points collide; pick another q or m")
+    if len(dedup_points(orbit)) < len(orbit):
+        raise ValueError("orbit points collide; pick another q or m")
     jt = f.iterated_jet(q, m)
     sv = np.linalg.svd(jt.jacobian, compute_uv=False)
     if sv.min() <= 1e-10 * max(sv.max(), 1.0):
@@ -372,22 +353,18 @@ def escaping_construction(f, q, windows, eps, budget, seed=0):
     if not bool(windows[0].contains(q)):
         raise ValueError("q must lie in the first window")
 
-    # step at which the f-orbit of q first leaves windows[0]
-    m = None
-    x = q
-    for k in range(1, 200):
-        x = f.eval(x)
+    # walk the f-orbit of q to its first point outside windows[0]
+    interior = [q]
+    for _ in range(199):
+        x = f.eval(interior[-1])
         if not bool(windows[0].contains(x)):
-            m = k
             break
-    if m is None:
+        interior.append(x)
+    else:
         raise InfeasibleError("orbit of q never leaves the first window",
                               stage=0)
-
-    interior = [q]
-    for _ in range(m - 1):
-        interior.append(f.eval(interior[-1]))
-    e = [f.eval(interior[-1])]  # e[0] = f^m(q), first point outside W0
+    m = len(interior)
+    e = [x]  # e[0] = f^m(q), first point outside W0
     if not bool(windows[1].contains(e[0])):
         raise InfeasibleError(
             "f^m(q) overshoots the second window; widen the windows",

@@ -220,10 +220,12 @@ class TestErrors:
         [("operation", '"escaping"'),
          ("q", "[[2.5, 0.0]]")],  # outside the first window
         [("operation", '"escaping"'), ("radii", "[2.0]")],  # one window
+        [("operation", '"escaping"'), ("radii", "[3.0, 2.0]")],
+        [("operation", '"escaping"'), ("radii", "[2.0, 2.0]")],
         [("operation", '"escaping"'), ("eps", '"x"')],
         [("K", FOUR_BOUNDS)],  # a 2-D window for a 1-D map
-    ], ids=["saddle_1d", "q_length", "q_outside", "one_radius", "eps_string",
-            "K_bounds"])
+    ], ids=["saddle_1d", "q_length", "q_outside", "one_radius",
+            "radii_decrease", "radii_repeat", "eps_string", "K_bounds"])
     def test_bad_perturb_value_is_config_error(self, tmp_path, mapfile,
                                                overrides):
         argv = ["perturb", "--map", mapfile(Z2), "--out", str(tmp_path / "o")]

@@ -58,7 +58,8 @@ def julia_class(g, mg):
 def reference_box_map(f, win, depth, spb, pad_mode, seed=0):
     """build_box_map one box at a time: {box: sorted successor tuple}.
 
-    Also returns the number of overflowing samples.  The samples, the
+    Also returns the number of overflowing samples: those whose value or
+    Jacobian leaves the map kernel's finite range.  The samples, the
     groups, the padded rectangles and the open-overlap test follow the
     build_box_map docstring, written out per box and per group.
     """
@@ -90,15 +91,14 @@ def reference_box_map(f, win, depth, spb, pad_mode, seed=0):
     for box in range(grid.count):
         base = lo + np.array(grid.lattice(box)) * w
         zs = win.to_complex(base + offs * w)
-        img, _, ok = map_kernel(f, zs)
-        _, jac, jok = map_kernel(f, zs, jacobian=True)
+        img, jac, ok = map_kernel(f, zs, jacobian=True)
         overflows += int((ok == 0).sum())
         targets = {INFINITY} if (ok == 0).any() else set()
         for group in groups:
             pts = [win.reals(img[i]) if ok[i] else np.zeros(d)
                    for i in group]
             pad = max(np.linalg.svd(jac[i], compute_uv=False).max()
-                      if jok[i] else 0.0 for i in group) * rad
+                      if ok[i] else 0.0 for i in group) * rad
             a = np.min(pts, axis=0) - pad
             b = np.max(pts, axis=0) + pad
             if (a < lo - eps).any() or (b > hi + eps).any():

@@ -17,6 +17,7 @@ from endolab import (
 from endolab.perturb import (
     JetConstraint,
     _delta_map,
+    _monomial_table,
     monomials,
     sampled_sup_norm,
 )
@@ -24,6 +25,53 @@ from endolab.perturb import (
 Z2 = PolyMap.from_coeffs_1d([0, 0, 1])
 BASILICA = PolyMap.from_coeffs_1d([-1, 0, 1])
 K = Window.square(1, -1.5, 1.5)
+
+
+def scalar_monomial_table(pts, basis):
+    """The basis values and derivatives one point and one monomial at a
+    time, with NumPy scalar arithmetic in coordinate order."""
+    vals, ders = [], []
+    for p in pts:
+        vals.append([])
+        ders.append([])
+        for exps in basis:
+            v = 1.0 + 0.0j
+            for z, e in zip(p, exps):
+                v *= z ** e
+            vals[-1].append(v)
+            ders[-1].append([])
+            for j in range(len(p)):
+                v = 0.0 + 0.0j
+                if exps[j]:
+                    v = complex(exps[j])
+                    for k, (z, e) in enumerate(zip(p, exps)):
+                        v *= z ** (e - 1 if k == j else e)
+                ders[-1][-1].append(v)
+    return np.array(vals, dtype=complex), np.array(ders, dtype=complex)
+
+
+class TestMonomialTable:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_matches_scalar_products_word_for_word(self, n):
+        rng = np.random.default_rng(n)
+        pts = (rng.uniform(-1.5, 1.5, (24, n))
+               + 1j * rng.uniform(-1.5, 1.5, (24, n)))
+        pts[0] = 0.0
+        pts[1] = pts[1].real  # the real axis
+        pts[2] = 1j * pts[2].imag  # the imaginary axis
+        pts[3, 0] = complex(-0.0, -0.0)
+        pts[4, -1] = complex(-0.7, -0.0)
+        for degree in range(9):
+            basis = monomials(n, degree)
+            want_v, want_d = scalar_monomial_table(pts, basis)
+            vals, derivs = _monomial_table(pts, basis, True)
+            assert vals.shape == want_v.shape and derivs.shape == want_d.shape
+            # int64 words: signed zeros and last bits both count
+            assert (vals.view(np.int64) == want_v.view(np.int64)).all()
+            assert (derivs.view(np.int64) == want_d.view(np.int64)).all()
+            alone, none = _monomial_table(pts, basis, False)
+            assert none is None
+            assert (alone.view(np.int64) == want_v.view(np.int64)).all()
 
 
 class TestInterpolateCorrection:
