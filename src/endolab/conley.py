@@ -23,7 +23,7 @@ import numpy as np
 from scipy.sparse import csr_array
 from scipy.sparse.csgraph import breadth_first_order, connected_components
 
-from .maps import Window, map_kernel
+from .maps import Window, halton, map_kernel
 
 INFINITY = -1  # the absorbing point-at-infinity node; indexes node B
 
@@ -189,10 +189,7 @@ def build_box_map(pmap, window, depth, samples_per_box=8, pad_mode="subcell:2",
     lattice = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
     offs = [lattice.reshape(-1, d), np.full((1, d), 0.5)]
     if samples_per_box > 0:
-        from scipy.stats import qmc
-
-        eng = qmc.Halton(d=d, scramble=True, seed=seed)
-        offs.append(eng.random(samples_per_box))
+        offs.append(halton(d, samples_per_box, seed))
     offs = np.concatenate(offs, axis=0)  # (S, d)
     S = len(offs)
 

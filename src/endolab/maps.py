@@ -436,6 +436,26 @@ def escape_radius(pmap):
 # windows (boxes in the 2n real coordinates)
 
 
+def halton(d, n, seed):
+    """(n, d) scrambled Halton points in [0, 1)^d (Owen 2017, arXiv:1706.02808),
+    the bits of SciPy's `Halton(d, scramble=True, seed=seed).random(n)`.  Base j
+    is the j-th prime b; `default_rng(seed)` shuffles ceil(54/log2 b) - 1 digit
+    permutations per base; point i sums perm_k[digit_k(i)] * b^-(k+1) in k order."""
+    rng = np.random.default_rng(seed)
+    bases = [p for p in range(2, d * d + 3) if all(p % q for q in range(2, p))][:d]
+    out = np.empty((n, d))
+    for j, b in enumerate(bases):
+        acc, scale, count = np.zeros(1), 1.0, int(np.ceil(54 / np.log2(b))) - 1
+        for perm in rng.permuted(np.tile(range(b), (count, 1)), axis=1).tolist():
+            scale /= b
+            if len(acc) < n:  # grow the table over i < b^(k+1) by digit k
+                acc = (acc[None, :] + np.multiply(perm, scale)[:, None]).ravel()
+            else:  # every point below b^k has digit k = 0
+                acc += perm[0] * scale
+        out[:, j] = acc[:n]
+    return out
+
+
 @dataclass(frozen=True)
 class Window:
     """Closed box: one (lo, hi) interval per real coordinate, order
@@ -447,8 +467,8 @@ class Window:
         if len(self.bounds) % 2 != 0 or not self.bounds:
             raise ValueError("need 2n interval bounds")
         for lo, hi in self.bounds:
-            if not lo < hi:
-                raise ValueError(f"degenerate interval [{lo}, {hi}]")
+            if not -np.inf < lo < hi < np.inf:
+                raise ValueError(f"degenerate or infinite interval [{lo}, {hi}]")
 
     @property
     def n(self):
@@ -485,11 +505,9 @@ class Window:
         return np.array([hi - lo for lo, hi in self.bounds])
 
     def sample(self, count, seed=0):
-        """Scrambled low-discrepancy sample of complex points, (count, n)."""
-        from scipy.stats import qmc
-
-        eng = qmc.Halton(d=2 * self.n, scramble=True, seed=seed)
-        u = eng.random(count)
+        """Complex points (count, n): `halton(2n, count, seed)` scaled to the
+        window, the bits of SciPy's scrambled Halton (Owen 2017)."""
+        u = halton(2 * self.n, count, seed)
         lo = np.array([b[0] for b in self.bounds])
         hi = np.array([b[1] for b in self.bounds])
         return self.to_complex(lo + u * (hi - lo))

@@ -193,6 +193,8 @@ class TestErrors:
         ("periodic", "window", FOUR_BOUNDS),
         ("julia", "window", FOUR_BOUNDS),
         ("conley", "window", FOUR_BOUNDS),
+        # JSON reads 1e400 as an infinite float
+        ("periodic", "window", "[[-1e400, 1e400], [-1, 1]]"),
     ])
     def test_bad_subcommand_value_is_config_error(self, tmp_path, mapfile,
                                                   cmd, key, value):
@@ -224,8 +226,10 @@ class TestErrors:
         [("operation", '"escaping"'), ("radii", "[2.0, 2.0]")],
         [("operation", '"escaping"'), ("eps", '"x"')],
         [("K", FOUR_BOUNDS)],  # a 2-D window for a 1-D map
+        [("operation", '"escaping"'), ("radii", "[1.5, 1e400]")],
     ], ids=["saddle_1d", "q_length", "q_outside", "one_radius",
-            "radii_decrease", "radii_repeat", "eps_string", "K_bounds"])
+            "radii_decrease", "radii_repeat", "eps_string", "K_bounds",
+            "radii_infinite"])
     def test_bad_perturb_value_is_config_error(self, tmp_path, mapfile,
                                                overrides):
         argv = ["perturb", "--map", mapfile(Z2), "--out", str(tmp_path / "o")]

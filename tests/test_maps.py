@@ -1,8 +1,14 @@
-"""Core map evaluation, jets, windows, and serialization."""
+"""Core map evaluation, jets, windows, Halton points and serialization."""
+
+import hashlib
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import endolab
 from endolab import (
     EntireNode,
     MapOverflowError,
@@ -11,7 +17,7 @@ from endolab import (
     escape_radius,
     rank_check,
 )
-from endolab.maps import map_kernel
+from endolab.maps import halton, map_kernel
 
 RNG = np.random.default_rng(1234)
 
@@ -278,5 +284,53 @@ class TestWindow:
         assert len(w.grid_centers(3)) == 9
 
     def test_invalid_bounds(self):
-        with pytest.raises(ValueError):
-            Window(bounds=((1.0, -1.0), (-1.0, 1.0)))
+        for interval in [(1.0, -1.0), (1.0, 1.0), (-np.inf, 1.0),
+                         (0.0, np.inf), (np.nan, 1.0)]:
+            with pytest.raises(ValueError):
+                Window(bounds=(interval, (-1.0, 1.0)))
+
+
+# n at 0, 1 and b^k - 1, b^k, b^k + 1 for bases 2, 3 and 13 (the 1st, 2nd
+# and 6th primes), where the digit table grows by one more digit
+HALTON_NS = sorted({0, 1, 8192} | {b ** k + off for b, ks in
+                                   ((2, (1, 5, 10)), (3, (1, 4, 7)),
+                                    (13, (1, 2, 3)))
+                                   for k in ks for off in (-1, 0, 1)})
+
+
+class TestHalton:
+    @pytest.mark.parametrize("d", range(1, 7))
+    @pytest.mark.parametrize("seed", [0, 1, 7, 12345])
+    def test_bits_equal_scipy_scrambled_halton(self, d, seed):
+        from scipy.stats import qmc
+
+        for n in HALTON_NS:
+            ref = qmc.Halton(d=d, scramble=True, seed=seed).random(n)
+            got = halton(d, n, seed)
+            assert got.shape == ref.shape == (n, d)
+            assert np.array_equal(got.view(np.int64), ref.view(np.int64)), n
+
+    def test_frozen_digest(self):
+        # moves if SciPy's scrambling or this implementation changes
+        digest = hashlib.sha256(halton(6, 4096, 3).tobytes()).hexdigest()
+        assert digest == (
+            "d44e906986e2d2a1e2f327ee19c520e2e3dab3515cea33fbfd7ac39af515066d")
+
+    def test_runtime_does_not_import_scipy_stats(self):
+        # importing scipy.stats costs most of a CLI process's start-up
+        code = "\n".join([
+            "import sys",
+            "import endolab.cli",
+            "from endolab import PolyMap, Window, build_box_map, find_periodic",
+            "f = PolyMap.from_coeffs_1d([-1.0, 0.0, 1.0])",
+            "w = Window.square(1, -2.0, 2.0)",
+            "w.sample(16, seed=0)",
+            "find_periodic(f, 2, w, seeds=16)",
+            "build_box_map(f, w, 2, samples_per_box=4)",
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))",
+        ])
+        src = os.path.dirname(os.path.dirname(endolab.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True, timeout=120)
+        assert out.stdout.strip() == "[]"
