@@ -83,7 +83,7 @@ def _positive(cfg, key, default):
     v = cfg.get(key, default)
     try:
         v = type(default)(v)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):  # int(inf) overflows
         raise ConfigError(f"bad value for {key}: {v!r}") from None
     if not v > 0:  # NaN too
         raise ConfigError(f"{key} must be positive")
@@ -97,6 +97,8 @@ def _points(cfg, key, default, n):
         p = np.array([complex(re, im) for re, im in v])
     except (TypeError, ValueError):
         raise ConfigError(f"bad value for {key}: {v!r}") from None
+    if not np.isfinite(p).all():
+        raise ConfigError(f"{key} needs finite [re, im] pairs")
     if len(p) != n:
         raise ConfigError(f"{key} needs {n} [re, im] pairs, got {len(p)}")
     return p
@@ -173,9 +175,8 @@ def cmd_julia(args):
     else:
         _positive(cfg, "R", 1.0)  # grid.json keeps R as given
     fixed = _parse_slice(cfg)
-    if f.n > 1 and len(fixed) != 2 * f.n - 2:
-        raise ConfigError("n=2 grids need --slice re0,im0 for the other "
-                          "coordinate")
+    if len(fixed) != 2 * f.n - 2:
+        raise ConfigError(f"slice needs {2 * f.n - 2} values past z_1")
     out = _outdir(args)
     grid = julia.escape_grid(f, window, res, n_max, float(R), fixed=fixed)
     boundary = julia.boundary_extract(grid)

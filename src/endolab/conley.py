@@ -46,34 +46,28 @@ class BoxGrid:
         return self.per_axis ** self.dims
 
     @property
+    def shape(self):
+        """(per_axis,) * dims: flat box indices are row-major over it."""
+        return (self.per_axis,) * self.dims
+
+    @property
     def widths(self):
         return self.window.widths / self.per_axis
 
     def lattice(self, index):
         """Flat index -> lattice coordinates (last axis fastest)."""
-        coords = []
-        for _ in range(self.dims):
-            coords.append(index % self.per_axis)
-            index //= self.per_axis
-        return tuple(reversed(coords))
+        return np.unravel_index(index, self.shape)
 
     def index(self, lattice):
-        idx = 0
-        for c in lattice:
-            idx = idx * self.per_axis + int(c)
-        return idx
+        return np.ravel_multi_index(tuple(lattice), self.shape)
 
     def box_of_reals(self, r):
         """Real coordinates (..., 2n) -> flat box index, INFINITY outside."""
         r = np.asarray(r, dtype=float)
-        lo = np.array([b[0] for b in self.window.bounds])
-        hi = np.array([b[1] for b in self.window.bounds])
-        inside = np.all((r >= lo) & (r <= hi), axis=-1)
-        cell = np.floor((r - lo) / self.widths).astype(np.int64)
-        cell = np.clip(cell, 0, self.per_axis - 1)
-        idx = np.zeros(r.shape[:-1], dtype=np.int64)
-        for a in range(self.dims):
-            idx = idx * self.per_axis + cell[..., a]
+        lo = self.window.lo
+        inside = np.all((r >= lo) & (r <= self.window.hi), axis=-1)
+        cell = np.clip(np.floor((r - lo) / self.widths), 0, self.per_axis - 1)
+        idx = self.index(np.moveaxis(cell.astype(np.int64), -1, 0))
         return np.where(inside, idx, INFINITY)
 
     def box_of_points(self, points):
@@ -81,21 +75,11 @@ class BoxGrid:
 
     def centers(self):
         """Complex centers of all boxes, (count, n)."""
-        lo = np.array([b[0] for b in self.window.bounds])
-        w = self.widths
-        mesh = np.meshgrid(
-            *[lo[a] + w[a] * (np.arange(self.per_axis) + 0.5)
-              for a in range(self.dims)],
-            indexing="ij",
-        )
-        r = np.stack([m.ravel() for m in mesh], axis=-1)
-        return self.window.to_complex(r)
+        return self.window.grid_centers(self.per_axis)
 
     def box_bounds(self, index):
-        lat = self.lattice(index)
-        lo = np.array([b[0] for b in self.window.bounds])
         w = self.widths
-        a = lo + w * np.array(lat)
+        a = self.window.lo + w * np.array(self.lattice(index))
         return a, a + w
 
 
@@ -180,32 +164,25 @@ def build_box_map(pmap, window, depth, samples_per_box=8, pad_mode="subcell:2",
     d = grid.dims
     per = grid.per_axis
     w = grid.widths
-    lo = np.array([b[0] for b in window.bounds])
-    hi = np.array([b[1] for b in window.bounds])
+    lo, hi = window.lo, window.hi
 
     # shared in-box sample offsets (unit cube), same for every box: the
     # subcell corner lattice (includes the box corners) + center
-    axes = [np.arange(split + 1) / split] * d
-    lattice = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
-    offs = [lattice.reshape(-1, d), np.full((1, d), 0.5)]
+    corners = np.indices((split + 1,) * d).reshape(d, -1).T / split
+    offs = [corners, np.full((1, d), 0.5)]
     if samples_per_box > 0:
         offs.append(halton(d, samples_per_box, seed))
     offs = np.concatenate(offs, axis=0)  # (S, d)
-    S = len(offs)
 
     # group samples: one group per subcell
-    group_of = np.zeros(S, dtype=int)
     cellpos = np.minimum((offs * split).astype(int), split - 1)
-    for a in range(d):
-        group_of = group_of * split + cellpos[:, a]
+    group_of = np.ravel_multi_index(tuple(cellpos.T), (split,) * d)
     sels = [group_of == gidx for gidx in range(split ** d)]
     sels = [sel for sel in sels if sel.any()]
 
-    lat = np.stack(
-        np.meshgrid(*[np.arange(per)] * d, indexing="ij"), axis=-1
-    ).reshape(-1, d)
-    base = lo + lat * w  # (B, d)
-    B = len(base)
+    B = grid.count
+    # stacked rows keep `samples`, which map_kernel reads, in C order
+    base = lo + np.stack(grid.lattice(np.arange(B)), axis=-1) * w  # (B, d)
     samples = base[:, None, :] + offs[None, :, :] * w  # (B, S, d)
     zs = window.to_complex(samples.reshape(-1, d))  # (B*S, n)
 
@@ -216,9 +193,9 @@ def build_box_map(pmap, window, depth, samples_per_box=8, pad_mode="subcell:2",
     img[over] = 0.0
     opn = np.zeros(len(zs))
     opn[~over] = np.linalg.svd(jac[~over], compute_uv=False).max(axis=-1)
-    opn = opn.reshape(B, S)
-    img_r = window.reals(img).reshape(B, S, d)
-    over = over.reshape(B, S)
+    opn = opn.reshape(B, -1)
+    img_r = window.reals(img).reshape(B, -1, d)
+    over = over.reshape(B, -1)
 
     # padded image rectangle [a, b] of each box and sample group, (B, G, d)
     rad = float(w.max()) / (2.0 * split)
@@ -543,5 +520,4 @@ def morse_to_dot(mg):
 
 def recurrent_mask(mg):
     """Boolean mask over boxes (1-D window slice ordering) of recurrence."""
-    grid = mg.graph.grid
-    return mg.recurrent[mg.class_of[:-1]].reshape((grid.per_axis,) * grid.dims)
+    return mg.recurrent[mg.class_of[:-1]].reshape(mg.graph.grid.shape)

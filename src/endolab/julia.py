@@ -2,8 +2,8 @@
 agreement metrics and chaos probes.
 
 Grids classify by cell centers only; every statement is at a declared
-resolution.  For n = 2 the 4-real-dimensional window is gridded on a
-2-plane slice with the remaining coordinates fixed.
+resolution.  For n >= 2 an escape grid covers the plane of the first
+coordinate z_1, with the remaining coordinates fixed.
 """
 
 from __future__ import annotations
@@ -20,56 +20,44 @@ from .periodic import find_periodic
 
 @dataclass(frozen=True)
 class EscapeGrid:
-    window: Window  # the 2-real-dim window actually gridded
-    res: tuple  # (rows, cols) = (axis0 cells, axis1 cells)
-    escaped: np.ndarray  # bool (rows, cols)
+    window: Window  # its first complex coordinate z_1 is gridded
+    res: tuple  # (rows, cols) = (re z_1 cells, im z_1 cells)
     escape_iter: np.ndarray  # int (rows, cols), -1 where bounded
-    axes: tuple  # indices of the two real coordinates gridded
-    fixed: tuple  # fixed values of the remaining real coordinates
+    fixed: tuple  # values of the remaining real coordinates re z_2, im z_2, ...
+
+    @property
+    def escaped(self):
+        return self.escape_iter >= 0
 
     @property
     def cellwidth(self):
-        (lo0, hi0), (lo1, hi1) = (self.window.bounds[self.axes[0]],
-                                  self.window.bounds[self.axes[1]])
-        return max((hi0 - lo0) / self.res[0], (hi1 - lo1) / self.res[1])
+        return float((self.window.widths[:2] / self.res).max())
 
     def centers(self):
         """Complex cell centers, shape (rows, cols, n)."""
-        return _slice_centers(self.window, self.res, self.axes, self.fixed)
+        return _slice_centers(self.window, self.res[0], self.fixed)
 
 
-def _slice_centers(window, res, axes, fixed):
-    n = window.n
-    reals = np.empty(res + (2 * n,))
-    it = iter(fixed)
-    for a in range(2 * n):
-        if a == axes[0]:
-            lo, hi = window.bounds[a]
-            w = (hi - lo) / res[0]
-            reals[..., a] = (lo + w * (np.arange(res[0]) + 0.5))[:, None]
-        elif a == axes[1]:
-            lo, hi = window.bounds[a]
-            w = (hi - lo) / res[1]
-            reals[..., a] = (lo + w * (np.arange(res[1]) + 0.5))[None, :]
-        else:
-            reals[..., a] = next(it)
-    return window.to_complex(reals)
+def _slice_centers(window, res, fixed):
+    out = np.empty((res * res, window.n), dtype=complex)
+    out[:, :1] = Window(window.bounds[:2]).grid_centers(res)
+    out[:, 1:] = window.to_complex(np.asarray(fixed, dtype=float))
+    return out.reshape(res, res, window.n)
 
 
-def escape_grid(pmap, window, res, n_max, R, axes=(0, 1), fixed=()):
-    """Iterate every cell center; mark cells whose orbit leaves ||.||_inf <= R.
+def escape_grid(pmap, window, res, n_max, R, fixed=()):
+    """Iterate every center of z_1's res x res grid, the other real
+    coordinates at `fixed`; mark cells whose orbit leaves ||.||_inf <= R.
 
     Deterministic: classification depends only on the center orbit.
     """
     if res < 2:
         raise ValueError("res must be >= 2 per axis")
-    shape = (res, res)
-    centers = _slice_centers(window, shape, axes, fixed)
-    z = centers.reshape(-1, pmap.n).copy()
-    escaped = np.zeros(len(z), dtype=bool)
+    if len(fixed) != 2 * window.n - 2:
+        raise ValueError(f"fixed needs 2n - 2 = {2 * window.n - 2} values")
+    z = _slice_centers(window, res, fixed).reshape(-1, pmap.n)
     esc_iter = np.full(len(z), -1)
     alive = np.abs(z).max(axis=-1) <= R
-    escaped[~alive] = True
     esc_iter[~alive] = 0
     for k in range(1, n_max + 1):
         idx = np.flatnonzero(alive)
@@ -79,17 +67,10 @@ def escape_grid(pmap, window, res, n_max, R, axes=(0, 1), fixed=()):
         with np.errstate(over="ignore", invalid="ignore"):
             # an overflowing cell escapes at this step
             out = (reached == 0) | (np.abs(z[idx]).max(axis=-1) > R)
-        escaped[idx[out]] = True
         esc_iter[idx[out]] = k
         alive[idx[out]] = False
-    return EscapeGrid(
-        window=window,
-        res=shape,
-        escaped=escaped.reshape(shape),
-        escape_iter=esc_iter.reshape(shape),
-        axes=tuple(axes),
-        fixed=tuple(fixed),
-    )
+    return EscapeGrid(window=window, res=(res, res), fixed=tuple(fixed),
+                      escape_iter=esc_iter.reshape(res, res))
 
 
 @dataclass(frozen=True)
@@ -212,12 +193,9 @@ def cycle_through(pmap, cellU, cellV, m_max, seeds=1024, tol=1e-10, seed=0,
                   window=None):
     """A repelling cycle with points in both cells, if the finder sees one."""
     if window is None:
-        bounds = []
-        for a in range(2 * cellU.n):
-            lo = min(cellU.bounds[a][0], cellV.bounds[a][0]) - 1.0
-            hi = max(cellU.bounds[a][1], cellV.bounds[a][1]) + 1.0
-            bounds.append((lo, hi))
-        window = Window(bounds=tuple(bounds))
+        lo = np.minimum(cellU.lo, cellV.lo) - 1.0
+        hi = np.maximum(cellU.hi, cellV.hi) + 1.0
+        window = Window(bounds=tuple(zip(lo.tolist(), hi.tolist())))
     cycles = find_periodic(pmap, m_max, window, seeds=seeds, tol=tol, seed=seed)
     for c in cycles:
         if c.klass != "repelling":

@@ -490,34 +490,41 @@ class Window:
         reals = np.asarray(reals, dtype=float)
         return reals[..., 0::2] + 1j * reals[..., 1::2]
 
-    def contains(self, points):
-        r = self.reals(points)
-        lo = np.array([b[0] for b in self.bounds])
-        hi = np.array([b[1] for b in self.bounds])
-        return np.all((r >= lo) & (r <= hi), axis=-1)
+    @cached_property
+    def lo(self):
+        """Lower bounds, a read-only (2n,) array."""
+        return _read_only([b[0] for b in self.bounds])
 
-    @property
-    def center(self):
-        return self.to_complex(np.array([(lo + hi) / 2 for lo, hi in self.bounds]))
+    @cached_property
+    def hi(self):
+        """Upper bounds, a read-only (2n,) array."""
+        return _read_only([b[1] for b in self.bounds])
 
     @property
     def widths(self):
-        return np.array([hi - lo for lo, hi in self.bounds])
+        return self.hi - self.lo
+
+    def contains(self, points):
+        r = self.reals(points)
+        return np.all((r >= self.lo) & (r <= self.hi), axis=-1)
 
     def sample(self, count, seed=0):
         """Complex points (count, n): `halton(2n, count, seed)` scaled to the
         window, the bits of SciPy's scrambled Halton (Owen 2017)."""
-        u = halton(2 * self.n, count, seed)
-        lo = np.array([b[0] for b in self.bounds])
-        hi = np.array([b[1] for b in self.bounds])
-        return self.to_complex(lo + u * (hi - lo))
+        return self.to_complex(self.lo + halton(2 * self.n, count, seed)
+                               * self.widths)
 
     def grid_centers(self, per_axis):
-        """Centers of a regular subdivision, flattened to (N, n) complex."""
-        axes = []
-        for lo, hi in self.bounds:
-            w = (hi - lo) / per_axis
-            axes.append(lo + w * (np.arange(per_axis) + 0.5))
-        mesh = np.meshgrid(*axes, indexing="ij")
-        r = np.stack([m.ravel() for m in mesh], axis=-1)
-        return self.to_complex(r)
+        """Cell centers lo + w (i + 1/2) of a regular subdivision into
+        per_axis cells per real axis, flattened to (per_axis^2n, n) complex
+        in row-major cell order (last real axis fastest)."""
+        ticks = (self.lo[:, None] + self.widths[:, None] / per_axis
+                 * (np.arange(per_axis) + 0.5))
+        mesh = np.meshgrid(*ticks, indexing="ij")
+        return self.to_complex(np.stack([m.ravel() for m in mesh], axis=-1))
+
+
+def _read_only(values):
+    a = np.array(values, dtype=float)
+    a.flags.writeable = False
+    return a

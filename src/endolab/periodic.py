@@ -68,7 +68,7 @@ def classify_multipliers(multipliers, jacobian=None):
     return "saddle"
 
 
-def classify(pmap, points, residual=None, tol=1e-9):
+def classify(pmap, points, residual=None):
     """Build a Cycle record from verified orbit points.
 
     ``points``: the full cycle, in orbit order; multipliers come from the

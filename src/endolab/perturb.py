@@ -119,8 +119,8 @@ def _delta_map(n, basis, coeffs):
 def _boundary_grid(K, per_axis):
     """Full grid over K including the boundary (where an analytic
     function's modulus peaks)."""
-    axes = [np.linspace(lo, hi, per_axis) for lo, hi in K.bounds]
-    mesh = np.meshgrid(*axes, indexing="ij")
+    mesh = np.meshgrid(*np.linspace(K.lo, K.hi, per_axis, axis=1),
+                       indexing="ij")
     return K.to_complex(np.stack([m.ravel() for m in mesh], axis=-1))
 
 

@@ -195,6 +195,16 @@ class TestErrors:
         ("conley", "window", FOUR_BOUNDS),
         # JSON reads 1e400 as an infinite float
         ("periodic", "window", "[[-1e400, 1e400], [-1, 1]]"),
+        # an infinite count: int(inf) overflows
+        ("periodic", "m_max", "1e400"),
+        ("conley", "depth", "1e400"),
+        ("julia", "res", "1e400"),
+        ("julia", "n_max", "1e400"),
+        ("perturb", "m", "1e400"),
+        ("perturb", "budget", "1e400"),
+        ("hakim", "steps", "1e400"),
+        # a 1-D map's grid has no coordinates past z_1
+        ("julia", "slice", '"0.1,0"'),
     ])
     def test_bad_subcommand_value_is_config_error(self, tmp_path, mapfile,
                                                   cmd, key, value):
@@ -227,9 +237,11 @@ class TestErrors:
         [("operation", '"escaping"'), ("eps", '"x"')],
         [("K", FOUR_BOUNDS)],  # a 2-D window for a 1-D map
         [("operation", '"escaping"'), ("radii", "[1.5, 1e400]")],
+        [("q", "[[1e400, 0]]")],
+        [("q", "[[NaN, 0]]")],
     ], ids=["saddle_1d", "q_length", "q_outside", "one_radius",
             "radii_decrease", "radii_repeat", "eps_string", "K_bounds",
-            "radii_infinite"])
+            "radii_infinite", "q_infinite", "q_nan"])
     def test_bad_perturb_value_is_config_error(self, tmp_path, mapfile,
                                                overrides):
         argv = ["perturb", "--map", mapfile(Z2), "--out", str(tmp_path / "o")]

@@ -141,11 +141,49 @@ def brute_scc(succ):
     return set(comps)
 
 
+def off_centre_window(n):
+    """A window with unequal, off-centre intervals on its 2n real axes."""
+    return Window(bounds=tuple((-1.3 + 0.1 * a, 0.9 + 0.35 * a)
+                               for a in range(2 * n)))
+
+
+def meshgrid_centers(win, per_axis):
+    """Box centers lo + w (i + 1/2), written out with meshgrid, row-major."""
+    ticks = [lo + (hi - lo) / per_axis * (np.arange(per_axis) + 0.5)
+             for lo, hi in win.bounds]
+    mesh = np.meshgrid(*ticks, indexing="ij")
+    r = np.stack([m.ravel() for m in mesh], axis=-1)
+    return r[:, 0::2] + 1j * r[:, 1::2]
+
+
 class TestBoxGrid:
     def test_index_lattice_round_trip(self):
-        grid = BoxGrid(window=Window.square(1, -1, 1), depth=3)
-        for b in range(grid.count):
-            assert grid.index(grid.lattice(b)) == b
+        # 1-D at depth 7, 2-D at depth 3, 3-D (6 real axes) at depth 2
+        for n, depth in ((1, 7), (2, 3), (3, 2)):
+            grid = BoxGrid(window=off_centre_window(n), depth=depth)
+            boxes = np.arange(grid.count)
+            centers = grid.centers()
+            assert np.array_equal(grid.box_of_points(centers), boxes)
+            assert np.array_equal(grid.index(grid.lattice(boxes)), boxes)
+            reals = grid.window.reals(centers)
+            for b in range(grid.count):
+                assert grid.index(grid.lattice(b)) == b
+                lo, hi = grid.box_bounds(b)
+                assert ((lo < reals[b]) & (reals[b] < hi)).all()
+
+    def test_centers_word_for_word(self):
+        for n, depth in ((1, 7), (2, 3), (3, 2)):
+            win = off_centre_window(n)
+            got = BoxGrid(window=win, depth=depth).centers()
+            want = meshgrid_centers(win, 2 ** depth)
+            assert got.shape == want.shape
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    def test_shape_orders_boxes_last_axis_fastest(self):
+        grid = BoxGrid(window=off_centre_window(2), depth=2)
+        assert grid.shape == (4, 4, 4, 4)
+        assert grid.index((1, 2, 3, 0)) == ((1 * 4 + 2) * 4 + 3) * 4 + 0
+        assert [int(c) for c in grid.lattice(27)] == [0, 1, 2, 3]
 
     def test_box_of_points(self):
         grid = BoxGrid(window=Window.square(1, -1, 1), depth=2)

@@ -70,9 +70,42 @@ class TestEscapeGrid:
             (((0, 2), 1.0 + 0j),),
         ))
         win = Window.square(2, -1.75, 1.75)
-        g = escape_grid(f, win, 128, 100, 2.0, axes=(0, 1), fixed=(0.1, 0.0))
+        g = escape_grid(f, win, 128, 100, 2.0, fixed=(0.1, 0.0))
         area = (~g.escaped).sum() * g.cellwidth ** 2
         assert abs(area - np.pi) / np.pi < 0.05
+
+    def test_fixed_count_is_2n_minus_2(self):
+        f = PolyMap.from_terms(2, (
+            (((2, 0), 1.0 + 0j),),
+            (((0, 2), 1.0 + 0j),),
+        ))
+        win = Window.square(2, -1.75, 1.75)
+        for bad in ((), (0.1,), (0.1, 0.0, 0.2)):
+            with pytest.raises(ValueError, match="2n - 2 = 2 values"):
+                escape_grid(f, win, 8, 10, 2.0, fixed=bad)
+        with pytest.raises(ValueError, match="2n - 2 = 0 values"):
+            escape_grid(Z2, W, 8, 10, 2.0, fixed=(0.1, 0.0))
+
+    def test_centers_word_for_word(self):
+        # the z_1 plane of an off-centre window, the rest at `fixed`
+        f = PolyMap.from_terms(2, (
+            (((2, 0), 1.0 + 0j),),
+            (((0, 2), 1.0 + 0j),),
+        ))
+        win = Window(bounds=((-1.3, 0.9), (-0.7, 1.6), (-2, 2), (-2, 2)))
+        fixed = (0.1, -0.25)
+        g = escape_grid(f, win, 16, 5, 2.0, fixed=fixed)
+        ticks = [lo + (hi - lo) / 16 * (np.arange(16) + 0.5)
+                 for lo, hi in win.bounds[:2]]
+        re, im = np.meshgrid(*ticks, indexing="ij")
+        want = np.stack([re + 1j * im,
+                         np.full(re.shape, fixed[0]) + 1j * fixed[1]],
+                        axis=-1)
+        got = g.centers()
+        assert got.shape == (16, 16, 2)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        assert g.cellwidth == 2.3 / 16
+        assert np.array_equal(g.escaped, g.escape_iter >= 0)
 
 
 class TestClouds:
