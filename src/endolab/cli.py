@@ -121,6 +121,8 @@ def cmd_periodic(args):
     m_max = _positive(cfg, "m_max", 3)
     seeds = _positive(cfg, "seeds", 1024)
     tol = _positive(cfg, "tol", 1e-10)
+    if tol > periodic.DEDUP_TOL:  # find_periodic says why
+        raise ConfigError(f"tol must be at most {periodic.DEDUP_TOL:g}")
     out = _outdir(args)
     rep = periodic.hyperbolicity_report(
         f, m_max, window, seeds=seeds, tol=tol, seed=int(cfg["seed"])
@@ -150,10 +152,13 @@ def _parse_slice(cfg):
     if s is None:
         return ()
     try:
-        return tuple(float(v) for v in (s.split(",") if isinstance(s, str)
-                                        else s))
+        fixed = tuple(float(v) for v in (s.split(",") if isinstance(s, str)
+                                         else s))
     except (TypeError, ValueError):
         raise ConfigError(f"bad value for slice: {s!r}") from None
+    if not np.isfinite(fixed).all():
+        raise ConfigError(f"slice needs finite values, got {s!r}")
+    return fixed
 
 
 def cmd_julia(args):

@@ -55,6 +55,8 @@ def escape_grid(pmap, window, res, n_max, R, fixed=()):
         raise ValueError("res must be >= 2 per axis")
     if len(fixed) != 2 * window.n - 2:
         raise ValueError(f"fixed needs 2n - 2 = {2 * window.n - 2} values")
+    if not np.isfinite(fixed).all():
+        raise ValueError("fixed values must be finite")
     z = _slice_centers(window, res, fixed).reshape(-1, pmap.n)
     esc_iter = np.full(len(z), -1)
     alive = np.abs(z).max(axis=-1) <= R

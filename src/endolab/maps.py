@@ -261,104 +261,63 @@ def _raise_overflow(steps, m):
 
 def _step(pmap, x, jacobian):
     """One application of f: (value, Jacobian or None)."""
-    if pmap.entire is not None:
-        z = x[..., 0]
-        if not jacobian:
-            return _entire_eval(pmap.entire, z)[..., None], None
-        v, g = _entire_dual(pmap.entire, z, np.ones_like(z))
-        return v[..., None], g[..., None, None]
-    if jacobian:
-        return _poly_dual(pmap, x)
-    return _poly_eval(pmap, x), None
+    if pmap.entire is None:
+        return _poly_step(pmap, x, jacobian)
+    z = x[..., 0]
+    v, g = _entire_step(pmap.entire, z, np.ones_like(z) if jacobian else None)
+    return v[..., None], None if g is None else g[..., None, None]
 
 
-def _poly_eval(pmap, p):
-    out = np.zeros_like(p)
-    pows = _coord_powers(pmap, p)
-    for i, comp in enumerate(pmap.components):
-        acc = np.zeros(p.shape[:-1], dtype=complex)
-        for exps, c in comp:
-            term = np.full(p.shape[:-1], c, dtype=complex)
-            for j, e in enumerate(exps):
-                if e:
-                    term = term * pows[j][e]
-            acc += term
-        out[..., i] = acc
-    return out
-
-
-def _coord_powers(pmap, p):
-    """pows[j][e] = p_j**e for 1 <= e <= the highest exponent of p_j."""
-    pows = []
-    for j, top in enumerate(pmap._max_exponents):
-        zj = p[..., j]
-        table = [None, zj]  # no caller reads p_j**0
-        for _ in range(2, top + 1):
-            table.append(table[-1] * zj)
-        pows.append(table)
-    return pows
-
-
-def _poly_dual(pmap, p):
-    """Forward-mode propagation: per-coordinate dual powers, then products."""
-    n = pmap.n
-    batch = p.shape[:-1]
+def _poly_step(pmap, p, jacobian):
+    """f(p) and, when `jacobian`, Df(p) by forward-mode duals.  The
+    derivative sweep only reads each term's running product, so the value
+    has the same bits either way."""
+    batch, n = p.shape[:-1], pmap.n
     value = np.zeros(batch + (n,), dtype=complex)
-    jac = np.zeros(batch + (n, n), dtype=complex)
-    # dual powers per coordinate: (value, d/dz_j) of z_j**e
-    pows = _coord_powers(pmap, p)
-    dpows = []
-    for j in range(n):
-        table = [np.zeros(batch, dtype=complex), np.ones(batch, dtype=complex)]
-        for e in range(2, len(pows[j])):
-            # product rule on z^(e-1) * z
-            table.append(table[-1] * pows[j][1] + pows[j][e - 1])
-        dpows.append(table)
+    jac = np.zeros(batch + (n, n), dtype=complex) if jacobian else None
+    # pows[j][e] = p_j**e and dpows[j][e] its derivative, 1 <= e <= top
+    ones = np.ones(batch, dtype=complex) if jacobian else None
+    pows, dpows = [], []
+    for j, top in enumerate(pmap._max_exponents):
+        pows.append([None, p[..., j]])
+        dpows.append([None, ones])
+        for _ in range(2, top + 1):
+            if jacobian:  # product rule on z^(e-1) * z
+                dpows[j].append(dpows[j][-1] * pows[j][1] + pows[j][-1])
+            pows[j].append(pows[j][-1] * pows[j][1])
     for i, comp in enumerate(pmap.components):
         for exps, c in comp:
             val = np.full(batch, c, dtype=complex)
-            grad = np.zeros(batch + (n,), dtype=complex)
+            grad = np.zeros(batch + (n,), dtype=complex) if jacobian else None
             for j, e in enumerate(exps):
                 if e == 0:
                     continue
-                pv, pd = pows[j][e], dpows[j][e]
-                grad = grad * pv[..., None]
-                grad[..., j] += val * pd
-                val = val * pv
+                if jacobian:
+                    grad = grad * pows[j][e][..., None]
+                    grad[..., j] += val * dpows[j][e]
+                val = val * pows[j][e]
             value[..., i] += val
-            jac[..., i, :] += grad
+            if jacobian:
+                jac[..., i, :] += grad
     return value, jac
 
 
-def _entire_eval(node, z):
-    if node is None:
-        return z
-    x = _entire_eval(node.inner, z)
-    if node.kind == "exp":
-        return np.exp(x)
-    if node.kind == "sin":
-        return np.sin(x)
-    acc = np.zeros_like(x)
-    for c in reversed(node.coeffs):
-        acc = acc * x + c
-    return acc
-
-
-def _entire_dual(node, z, dz):
+def _entire_step(node, z, dz):
+    """Value at z and, unless dz is None, the derivative times dz."""
     if node is None:
         return z, dz
-    x, dx = _entire_dual(node.inner, z, dz)
+    x, dx = _entire_step(node.inner, z, dz)
     if node.kind == "exp":
         v = np.exp(x)
-        return v, v * dx
+        return v, None if dx is None else v * dx
     if node.kind == "sin":
-        return np.sin(x), np.cos(x) * dx
-    acc = np.zeros_like(x)
-    dacc = np.zeros_like(x)
+        return np.sin(x), None if dx is None else np.cos(x) * dx
+    acc = dacc = np.zeros_like(x)
     for c in reversed(node.coeffs):
-        dacc = dacc * x + acc
+        if dx is not None:
+            dacc = dacc * x + acc
         acc = acc * x + c
-    return acc, dacc * dx
+    return acc, None if dx is None else dacc * dx
 
 
 def _entire_to_json(node):

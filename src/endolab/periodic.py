@@ -19,9 +19,6 @@ DEDUP_TOL = 1e-8
 UNIT_MARGIN = 1e-6  # |lambda| within this of 1 counts as borderline
 SUPER_TOL = 1e-8  # Jacobian entries below this: derivative treated as zero
 
-CLASSES = ("super_attracting", "attracting", "repelling", "saddle",
-           "non_hyperbolic")
-
 
 @dataclass(frozen=True)
 class Cycle:
@@ -76,11 +73,9 @@ def classify(pmap, points, residual=None):
     """
     points = [np.asarray(p, dtype=complex).reshape(pmap.n) for p in points]
     m = len(points)
-    if residual is None:
-        residual = float(
-            np.abs(pmap.iterate(points[0], m) - points[0]).max()
-        )
     jt = pmap.iterated_jet(points[0], m)
+    if residual is None:  # jt.value has the bits of iterate(points[0], m)
+        residual = float(np.abs(jt.value - points[0]).max())
     lam = eigenvalues(jt.jacobian)
     klass = classify_multipliers(lam, jacobian=jt.jacobian)
     transverse = bool(np.all(np.abs(lam - 1.0) > UNIT_MARGIN))
@@ -186,6 +181,10 @@ def find_periodic(pmap, m_max, window, seeds=1024, tol=1e-10, seed=0):
     window, sorted by period then lexicographically by base point."""
     if m_max < 1 or seeds < 1:
         raise ValueError("m_max and seeds must be >= 1")
+    # a root accepted at residual tol is resolved only to about tol: above
+    # DEDUP_TOL the dedup cannot merge its copies.  NaN fails the test too
+    if not 0 < tol <= DEDUP_TOL:
+        raise ValueError(f"tol must lie in (0, {DEDUP_TOL:g}]")
     roots = []  # (point, residual)
     for m in range(1, m_max + 1):
         x0 = window.sample(seeds, seed=seed + m)

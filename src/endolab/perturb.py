@@ -274,9 +274,10 @@ def close_orbit(f, q, m, prescribed_jac, K, budget):
     cycle's multiplier matrix is prescribed_jac . D(f^m)(q).
     """
     q = np.asarray(q, dtype=complex).reshape(f.n)
-    orbit = [q]
-    for _ in range(m):
-        orbit.append(f.eval(orbit[-1]))
+    orbit, jets = [q], []
+    for _ in range(m):  # a jet's value has the bits of f.eval
+        jets.append(f.jet(orbit[-1]))
+        orbit.append(jets[-1].value)
     if len(dedup_points(orbit)) < len(orbit):
         raise ValueError("orbit points collide; pick another q or m")
     jt = f.iterated_jet(q, m)
@@ -286,10 +287,8 @@ def close_orbit(f, q, m, prescribed_jac, K, budget):
     prescribed_jac = np.asarray(prescribed_jac, dtype=complex).reshape(
         f.n, f.n
     )
-    cons = []
-    for p in orbit[:m]:
-        jp = f.jet(p)
-        cons.append(JetConstraint.make(p, jp.value, jp.jacobian))
+    cons = [JetConstraint.make(p, jp.value, jp.jacobian)
+            for p, jp in zip(orbit, jets)]
     cons.append(JetConstraint.make(orbit[m], q, prescribed_jac))
     corr = interpolate_correction(f, cons, budget, K)
     h = corr.corrected

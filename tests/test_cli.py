@@ -13,6 +13,9 @@ from endolab.cli import main
 Z2 = {"n": 1, "components": [[{"exps": [2], "re": 1.0, "im": 0.0}]]}
 BASILICA = {"n": 1, "components": [[{"exps": [2], "re": 1.0, "im": 0.0},
                                     {"exps": [0], "re": -1.0, "im": 0.0}]]}
+SQUARES_2D = {"n": 2, "components": [
+    [{"exps": [2, 0], "re": 1.0, "im": 0.0}],
+    [{"exps": [0, 2], "re": 1.0, "im": 0.0}]]}
 FOUR_BOUNDS = "[[-2, 2], [-2, 2], [-2, 2], [-2, 2]]"
 
 
@@ -205,11 +208,21 @@ class TestErrors:
         ("hakim", "steps", "1e400"),
         # a 1-D map's grid has no coordinates past z_1
         ("julia", "slice", '"0.1,0"'),
+        # a Newton tol above the 1e-8 dedup leaves copies of each root
+        ("periodic", "tol", "1e400"),
+        ("periodic", "tol", "1e-6"),
     ])
     def test_bad_subcommand_value_is_config_error(self, tmp_path, mapfile,
                                                   cmd, key, value):
         rc = main([cmd, "--map", mapfile(BASILICA),
                    "--out", str(tmp_path / "o"), "--set", key, value])
+        assert rc == 2
+
+    @pytest.mark.parametrize("value", ['"nan,0"', '[1e400, 0]'])
+    def test_non_finite_slice_is_config_error(self, tmp_path, mapfile, value):
+        rc = main(["julia", "--map", mapfile(SQUARES_2D),
+                   "--out", str(tmp_path / "o"), "--set", "res", "16",
+                   "--set", "slice", value])
         assert rc == 2
 
     def test_bad_hakim_dim_is_config_error(self, tmp_path):

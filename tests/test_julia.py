@@ -85,6 +85,10 @@ class TestEscapeGrid:
                 escape_grid(f, win, 8, 10, 2.0, fixed=bad)
         with pytest.raises(ValueError, match="2n - 2 = 0 values"):
             escape_grid(Z2, W, 8, 10, 2.0, fixed=(0.1, 0.0))
+        # a non-finite slice would escape every cell at step 0
+        for bad in ((np.nan, 0.0), (0.0, float("1e400"))):
+            with pytest.raises(ValueError, match="finite"):
+                escape_grid(f, win, 8, 10, 2.0, fixed=bad)
 
     def test_centers_word_for_word(self):
         # the z_1 plane of an off-centre window, the rest at `fixed`

@@ -62,9 +62,35 @@ class TestJets:
             assert np.abs(jt.jacobian - J).max() / denom < 1e-6
 
     def test_jet_value_matches_eval(self):
-        f = random_map(2)
-        p = np.array([0.3 + 0.1j, -0.2 + 0.4j])
-        assert np.allclose(f.jet(p).value, f.eval(p))
+        # word for word, on bare points and batches: classify and
+        # close_orbit read f and f^m off the jets they compute anyway
+        rng = np.random.default_rng(21)
+        maps = [random_map(n, degree=d, rng=rng)
+                for n in (1, 2, 3) for d in (1, 2, 5, 8)]
+        maps += [PolyMap.entire_1d(node) for node in (
+            EntireNode("exp"),
+            EntireNode("sin"),
+            EntireNode("poly", (0.5, 1.0, 0.25j),
+                       EntireNode("sin", inner=EntireNode("exp"))),
+            EntireNode("exp", inner=EntireNode("poly", (0.1j, 0.0, -0.5))),
+        )]
+
+        def words(a):
+            return np.asarray(a).view(np.int64)
+
+        for f in maps:
+            pts = 0.3 * (rng.normal(size=(5, f.n))
+                         + 1j * rng.normal(size=(5, f.n)))
+            pts[0] = 0.0
+            pts[1] = complex(-0.0, -0.0)
+            pts[2, 0] = complex(-0.0, 0.2)
+            pts[3, -1] = complex(0.1, -0.0)
+            for p in list(pts) + [pts]:
+                value = words(f.eval(p))
+                assert np.array_equal(words(f.jet(p).value), value)
+                assert np.array_equal(words(f.iterated_jet(p, 1).value), value)
+                assert np.array_equal(words(f.iterated_jet(p, 3).value),
+                                      words(f.iterate(p, 3)))
 
     def test_chain_rule_factorization(self):
         rng = np.random.default_rng(3)

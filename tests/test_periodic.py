@@ -5,6 +5,7 @@ import pytest
 
 from endolab import PolyMap, Window, classify, eigenvalues, find_periodic
 from endolab.periodic import (
+    DEDUP_TOL,
     _newton_batch,
     classify_multipliers,
     cycles_to_csv,
@@ -196,6 +197,18 @@ class TestFindPeriodic:
                                      key=lambda z: -abs(z)))
                 assert np.abs(ev - base).max() < 1e-7 * max(
                     1.0, float(np.abs(base).max()))
+
+    @pytest.mark.parametrize("tol", [1e-7, 1e-6, float("inf"), float("nan"),
+                                     0.0, -1e-10])
+    def test_tol_must_lie_within_dedup(self, tol):
+        # at tol 1e-7, 256 seeds give 6 basilica cycles of period <= 2
+        # instead of 3: roots resolved to about tol escape the 1e-8 dedup
+        with pytest.raises(ValueError, match="tol"):
+            find_periodic(BASILICA, 2, W2, seeds=256, tol=tol)
+
+    def test_tol_at_dedup_counts_right(self):
+        cycles = find_periodic(BASILICA, 2, W2, seeds=256, tol=DEDUP_TOL)
+        assert sorted(c.period for c in cycles) == [1, 1, 2]
 
     def test_deterministic_under_seed(self):
         a = find_periodic(Z2, 3, W2, seeds=512, seed=5)
