@@ -85,8 +85,8 @@ def _positive(cfg, key, default):
         v = type(default)(v)
     except (TypeError, ValueError, OverflowError):  # int(inf) overflows
         raise ConfigError(f"bad value for {key}: {v!r}") from None
-    if not v > 0:  # NaN too
-        raise ConfigError(f"{key} must be positive")
+    if not 0 < v < float("inf"):  # NaN too
+        raise ConfigError(f"{key} must be positive and finite")
     return v
 
 

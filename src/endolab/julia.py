@@ -49,7 +49,9 @@ def escape_grid(pmap, window, res, n_max, R, fixed=()):
     """Iterate every center of z_1's res x res grid, the other real
     coordinates at `fixed`; mark cells whose orbit leaves ||.||_inf <= R.
 
-    Deterministic: classification depends only on the center orbit.
+    Deterministic: classification depends only on the center orbit.  Each
+    step maps only the live cells, those still inside, since map_kernel's
+    rows do not depend on their batch.
     """
     if res < 2:
         raise ValueError("res must be >= 2 per axis")
@@ -58,19 +60,20 @@ def escape_grid(pmap, window, res, n_max, R, fixed=()):
     if not np.isfinite(fixed).all():
         raise ValueError("fixed values must be finite")
     z = _slice_centers(window, res, fixed).reshape(-1, pmap.n)
-    esc_iter = np.full(len(z), -1)
-    alive = np.abs(z).max(axis=-1) <= R
-    esc_iter[~alive] = 0
+    inside = np.abs(z).max(axis=-1) <= R
+    esc_iter = np.where(inside, -1, 0)
+    live = np.flatnonzero(inside)
+    z = z[live]
     for k in range(1, n_max + 1):
-        idx = np.flatnonzero(alive)
-        if idx.size == 0:
+        if live.size == 0:
             break
-        z[idx], _, reached = map_kernel(pmap, z[idx])
+        z, _, reached = map_kernel(pmap, z)
         with np.errstate(over="ignore", invalid="ignore"):
             # an overflowing cell escapes at this step
-            out = (reached == 0) | (np.abs(z[idx]).max(axis=-1) > R)
-        esc_iter[idx[out]] = k
-        alive[idx[out]] = False
+            out = (reached == 0) | (np.abs(z).max(axis=-1) > R)
+        if out.any():
+            esc_iter[live[out]] = k
+            live, z = live[~out], z[~out]
     return EscapeGrid(window=window, res=(res, res), fixed=tuple(fixed),
                       escape_iter=esc_iter.reshape(res, res))
 

@@ -116,6 +116,14 @@ class PolyMap:
                           for exps, _ in comp), default=0)
                      for j in range(self.n))
 
+    @cached_property
+    def _terms(self):
+        """Per component, each term as (c, ((j, e), ...)) with e > 0 only;
+        a 0-d array c keeps a term's first product a ufunc loop."""
+        return tuple(tuple((np.array(c, dtype=complex),
+                            tuple((j, e) for j, e in enumerate(exps) if e))
+                           for exps, c in comp) for comp in self.components)
+
     # -- evaluation -----------------------------------------------------
 
     def eval(self, p):
@@ -227,7 +235,8 @@ def map_kernel(pmap, p, m=1, jacobian=False):
     For ``p`` with a batch axis, each point's result does not depend on
     the rest of the batch, bit for bit, so a caller drops the points that
     are not ok and keeps the rest; a (1, n) batch gives the same bits as
-    its row in any larger batch.  A bare (n,) point does not: part of its
+    its row in any larger batch (``escape_grid`` relies on this to step
+    only its live cells).  A bare (n,) point does not: part of its
     products go through NumPy scalar arithmetic, which can differ from
     the array loops in the last bit.
     """
@@ -285,13 +294,11 @@ def _poly_step(pmap, p, jacobian):
             if jacobian:  # product rule on z^(e-1) * z
                 dpows[j].append(dpows[j][-1] * pows[j][1] + pows[j][-1])
             pows[j].append(pows[j][-1] * pows[j][1])
-    for i, comp in enumerate(pmap.components):
-        for exps, c in comp:
-            val = np.full(batch, c, dtype=complex)
+    for i, terms in enumerate(pmap._terms):
+        for c, factors in terms:
+            val = c
             grad = np.zeros(batch + (n,), dtype=complex) if jacobian else None
-            for j, e in enumerate(exps):
-                if e == 0:
-                    continue
+            for j, e in factors:
                 if jacobian:
                     grad = grad * pows[j][e][..., None]
                     grad[..., j] += val * dpows[j][e]

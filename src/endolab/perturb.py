@@ -274,13 +274,18 @@ def close_orbit(f, q, m, prescribed_jac, K, budget):
     cycle's multiplier matrix is prescribed_jac . D(f^m)(q).
     """
     q = np.asarray(q, dtype=complex).reshape(f.n)
+    return _close_orbit(f, q, m, f.iterated_jet(q, m), prescribed_jac, K,
+                        budget)
+
+
+def _close_orbit(f, q, m, jt, prescribed_jac, K, budget):
+    """`close_orbit` given jt = f.iterated_jet(q, m)."""
     orbit, jets = [q], []
     for _ in range(m):  # a jet's value has the bits of f.eval
         jets.append(f.jet(orbit[-1]))
         orbit.append(jets[-1].value)
     if len(dedup_points(orbit)) < len(orbit):
         raise ValueError("orbit points collide; pick another q or m")
-    jt = f.iterated_jet(q, m)
     sv = np.linalg.svd(jt.jacobian, compute_uv=False)
     if sv.min() <= 1e-10 * max(sv.max(), 1.0):
         raise ValueError("degenerate orbit; cannot prescribe jet")
@@ -322,7 +327,7 @@ def make_periodic_point(f, q, m, kind, K, budget, strength=10.0):
         else:
             diag = np.diag([0.5, 2.0, 4.0][: f.n]).astype(complex)
             pj = diag @ inv
-    out = close_orbit(f, q, m, pj, K, budget)
+    out = _close_orbit(f, q, m, jt, pj, K, budget)
     if out["cycle"].klass != kind:
         raise InfeasibleError(
             f"requested {kind} but produced {out['cycle'].klass}"

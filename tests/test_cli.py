@@ -225,6 +225,13 @@ class TestErrors:
                    "--set", "slice", value])
         assert rc == 2
 
+    def test_infinite_R_is_config_error(self, tmp_path, mapfile):
+        # JSON reads 1e400 as an infinite R, which grid.json cannot hold
+        rc = main(["julia", "--map", mapfile(BASILICA),
+                   "--out", str(tmp_path / "o"), "--set", "res", "16",
+                   "--set", "R", "1e400"])
+        assert rc == 2
+
     def test_bad_hakim_dim_is_config_error(self, tmp_path):
         rc = main(["hakim", "--out", str(tmp_path / "o"), "--set", "dim", "3"])
         assert rc == 2
@@ -252,9 +259,10 @@ class TestErrors:
         [("operation", '"escaping"'), ("radii", "[1.5, 1e400]")],
         [("q", "[[1e400, 0]]")],
         [("q", "[[NaN, 0]]")],
+        [("operation", '"escaping"'), ("eps", "1e400")],
     ], ids=["saddle_1d", "q_length", "q_outside", "one_radius",
             "radii_decrease", "radii_repeat", "eps_string", "K_bounds",
-            "radii_infinite", "q_infinite", "q_nan"])
+            "radii_infinite", "q_infinite", "q_nan", "eps_infinite"])
     def test_bad_perturb_value_is_config_error(self, tmp_path, mapfile,
                                                overrides):
         argv = ["perturb", "--map", mapfile(Z2), "--out", str(tmp_path / "o")]

@@ -11,6 +11,7 @@ from endolab import (
     hausdorff,
     repeller_cloud,
 )
+from endolab.maps import map_kernel
 from endolab.julia import (
     PointCloud,
     cycle_through,
@@ -24,6 +25,25 @@ from endolab.julia import (
 Z2 = PolyMap.from_coeffs_1d([0, 0, 1])
 BASILICA = PolyMap.from_coeffs_1d([-1, 0, 1])
 W = Window.square(1, -1.75, 1.75)
+
+
+def full_grid_escape(pmap, grid, n_max, R):
+    """The escape loop that gathers and scatters over every cell at each
+    step, for the live-set loop of escape_grid to match word for word."""
+    z = grid.centers().reshape(-1, pmap.n)
+    esc_iter = np.full(len(z), -1)
+    alive = np.abs(z).max(axis=-1) <= R
+    esc_iter[~alive] = 0
+    for k in range(1, n_max + 1):
+        idx = np.flatnonzero(alive)
+        if idx.size == 0:
+            break
+        z[idx], _, reached = map_kernel(pmap, z[idx])
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = (reached == 0) | (np.abs(z[idx]).max(axis=-1) > R)
+        esc_iter[idx[out]] = k
+        alive[idx[out]] = False
+    return esc_iter.reshape(grid.res)
 
 
 def circle_cloud(npts=4096):
@@ -89,6 +109,28 @@ class TestEscapeGrid:
         for bad in ((np.nan, 0.0), (0.0, float("1e400"))):
             with pytest.raises(ValueError, match="finite"):
                 escape_grid(f, win, 8, 10, 2.0, fixed=bad)
+
+    @pytest.mark.parametrize("f,win,res,n_max,R,fixed", [
+        # cells outside R at step 0
+        (Z2, Window.square(1, -3, 3), 64, 100, 2.0, ()),
+        (BASILICA, W, 96, 200, 2.0, ()),
+        (PolyMap.from_terms(2, ((((2, 0), 1.0), ((0, 1), 0.3j)),
+                                (((0, 2), 1.0), ((1, 0), -0.2)))),
+         Window.square(2, -2, 2), 48, 60, 3.0, (0.1, -0.2)),
+        (BASILICA, Window.square(1, -3, 3), 32, 1, 2.0, ()),
+        # past 1e150 a value counts as overflow: only that ends an orbit
+        (Z2, Window.square(1, -3, 3), 48, 40, 1e200, ()),
+    ], ids=["z2_step0", "basilica", "slice_2d", "n_max_1", "overflow_only"])
+    def test_live_set_matches_full_grid_loop(self, f, win, res, n_max, R,
+                                             fixed):
+        g = escape_grid(f, win, res, n_max, R, fixed=fixed)
+        want = full_grid_escape(f, g, n_max, R)
+        assert g.escape_iter.dtype == want.dtype
+        assert np.array_equal(g.escape_iter.view(np.int64),
+                              want.view(np.int64))
+        assert g.escaped.any() and not g.escaped.all()
+        if R > 1e150:
+            assert g.escape_iter.min() == -1 and (g.escape_iter != 0).all()
 
     def test_centers_word_for_word(self):
         # the z_1 plane of an off-centre window, the rest at `fixed`

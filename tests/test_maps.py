@@ -17,7 +17,7 @@ from endolab import (
     escape_radius,
     rank_check,
 )
-from endolab.maps import halton, map_kernel
+from endolab.maps import _poly_step, halton, map_kernel
 
 RNG = np.random.default_rng(1234)
 
@@ -35,6 +35,42 @@ def random_map(n, degree=2, scale=0.5, rng=RNG):
             terms.append((tuple(e), complex(c)))
         comps.append(tuple(terms))
     return PolyMap.from_terms(n, comps)
+
+
+def words(a):
+    return np.asarray(a).view(np.int64)
+
+
+def per_term_step(pmap, p, jacobian):
+    """Reference step without the term table: each term starts from
+    np.full(batch, c) and scans every exponent, zeros included."""
+    batch, n = p.shape[:-1], pmap.n
+    value = np.zeros(batch + (n,), dtype=complex)
+    jac = np.zeros(batch + (n, n), dtype=complex) if jacobian else None
+    ones = np.ones(batch, dtype=complex) if jacobian else None
+    pows, dpows = [], []
+    for j, top in enumerate(pmap._max_exponents):
+        pows.append([None, p[..., j]])
+        dpows.append([None, ones])
+        for _ in range(2, top + 1):
+            if jacobian:
+                dpows[j].append(dpows[j][-1] * pows[j][1] + pows[j][-1])
+            pows[j].append(pows[j][-1] * pows[j][1])
+    for i, comp in enumerate(pmap.components):
+        for exps, c in comp:
+            val = np.full(batch, c, dtype=complex)
+            grad = np.zeros(batch + (n,), dtype=complex) if jacobian else None
+            for j, e in enumerate(exps):
+                if e == 0:
+                    continue
+                if jacobian:
+                    grad = grad * pows[j][e][..., None]
+                    grad[..., j] += val * dpows[j][e]
+                val = val * pows[j][e]
+            value[..., i] += val
+            if jacobian:
+                jac[..., i, :] += grad
+    return value, jac
 
 
 def fd_jacobian(pmap, p, h=1e-6):
@@ -74,9 +110,6 @@ class TestJets:
                        EntireNode("sin", inner=EntireNode("exp"))),
             EntireNode("exp", inner=EntireNode("poly", (0.1j, 0.0, -0.5))),
         )]
-
-        def words(a):
-            return np.asarray(a).view(np.int64)
 
         for f in maps:
             pts = 0.3 * (rng.normal(size=(5, f.n))
@@ -168,6 +201,59 @@ class TestJets:
             one = f.jet(pts[i:i + 1])
             assert np.array_equal(one.value[0], jt.value[i])
             assert np.array_equal(one.jacobian[0], jt.jacobian[i])
+
+    def test_step_matches_per_term_loop(self):
+        # word for word: the term table starts each term from a 0-d
+        # coefficient, so bare points keep their scalar-math bits too
+        from endolab.perturb import monomials
+
+        rng = np.random.default_rng(31)
+        zeros = (0j, complex(-0.0, 0.0), complex(0.0, -0.0),
+                 complex(-0.0, -0.0))
+        for trial in range(24):
+            n, d = 1 + trial % 3, (1, 2, 3, 5, 8)[trial % 5]
+            comps = []
+            for i in range(n):
+                # component 0 keeps a constant term and a degree-d term
+                exps = [e for e in monomials(n, d) if rng.random() < 0.6
+                        or i == 0 and sum(e) in (0, d) and e[0] == sum(e)]
+                comps.append([(e, zeros[k % 4] if rng.random() < 0.2 else
+                               complex(*rng.normal(size=2)))
+                              for k, e in enumerate(exps)])
+            f = PolyMap.from_terms(n, comps)
+            pts = 0.6 * (rng.normal(size=(6, n))
+                         + 1j * rng.normal(size=(6, n)))
+            pts[0] = 0.0
+            pts[1] = complex(-0.0, -0.0)
+            pts[2, 0] = complex(-0.0, 0.3)
+            pts[3, -1] = complex(0.2, -0.0)
+            for p in list(pts) + [pts, pts[:1]]:
+                for jacobian in (False, True):
+                    got = _poly_step(f, p, jacobian)
+                    want = per_term_step(f, p, jacobian)
+                    assert np.array_equal(words(got[0]), words(want[0]))
+                    if jacobian:
+                        assert np.array_equal(words(got[1]), words(want[1]))
+                    else:
+                        assert got[1] is None
+
+    def test_kernel_rows_do_not_depend_on_batch(self):
+        # escape_grid steps a shrinking subset of its cells and relies on
+        # each row keeping the bits it has in the whole batch
+        rng = np.random.default_rng(5)
+        eye = np.eye(3, dtype=complex)
+        for n, d in ((1, 2), (2, 3), (3, 5)):
+            f = random_map(n, degree=d, rng=rng)
+            pts = 0.5 * (rng.normal(size=(40, n))
+                         + 1j * rng.normal(size=(40, n)))
+            pts[0] = complex(-0.0, -0.0)
+            sub = rng.permutation(40)[:13]
+            for m, jacobian in ((1, False), (1, True), (3, eye[:n, :n])):
+                whole = map_kernel(f, pts, m, jacobian=jacobian)
+                part = map_kernel(f, pts[sub], m, jacobian=jacobian)
+                for a, b in zip(whole, part):
+                    if a is not None:
+                        assert np.array_equal(words(a[sub]), words(b))
 
     def test_eval_does_not_mutate_input(self):
         f = random_map(1)
