@@ -82,12 +82,14 @@ def _get_window(cfg, n, key="window", default_half=2.0):
 def _positive(cfg, key, default):
     v = cfg.get(key, default)
     try:
-        v = type(default)(v)
+        x = type(default)(v)
+        if isinstance(v, bool) or isinstance(v, float) and x != v:
+            raise ValueError  # a bool is no number; int() truncates 2.7
     except (TypeError, ValueError, OverflowError):  # int(inf) overflows
         raise ConfigError(f"bad value for {key}: {v!r}") from None
-    if not 0 < v < float("inf"):  # NaN too
+    if not 0 < x < float("inf"):  # NaN too
         raise ConfigError(f"{key} must be positive and finite")
-    return v
+    return x
 
 
 def _points(cfg, key, default, n):

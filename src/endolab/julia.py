@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .maps import PolyMap, Window, map_kernel
+from .maps import PolyMap, Window, _step, sup_norm
 from .periodic import find_periodic
 
 
@@ -50,8 +50,8 @@ def escape_grid(pmap, window, res, n_max, R, fixed=()):
     coordinates at `fixed`; mark cells whose orbit leaves ||.||_inf <= R.
 
     Deterministic: classification depends only on the center orbit.  Each
-    step maps only the live cells, those still inside, since map_kernel's
-    rows do not depend on their batch.
+    step maps only the live cells, those still inside, since a step's rows
+    do not depend on their batch.
     """
     if res < 2:
         raise ValueError("res must be >= 2 per axis")
@@ -60,20 +60,19 @@ def escape_grid(pmap, window, res, n_max, R, fixed=()):
     if not np.isfinite(fixed).all():
         raise ValueError("fixed values must be finite")
     z = _slice_centers(window, res, fixed).reshape(-1, pmap.n)
-    inside = np.abs(z).max(axis=-1) <= R
+    inside = sup_norm(z) <= R
     esc_iter = np.where(inside, -1, 0)
     live = np.flatnonzero(inside)
     z = z[live]
-    for k in range(1, n_max + 1):
-        if live.size == 0:
-            break
-        z, _, reached = map_kernel(pmap, z)
-        with np.errstate(over="ignore", invalid="ignore"):
-            # an overflowing cell escapes at this step
-            out = (reached == 0) | (np.abs(z).max(axis=-1) > R)
-        if out.any():
-            esc_iter[live[out]] = k
-            live, z = live[~out], z[~out]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, n_max + 1):
+            if live.size == 0:
+                break
+            z, _, norm, ok = _step(pmap, z, False)
+            out = ~ok | (norm > R)  # an overflowing cell escapes here too
+            if out.any():
+                esc_iter[live[out]] = k
+                live, z = live[~out], z[~out]
     return EscapeGrid(window=window, res=(res, res), fixed=tuple(fixed),
                       escape_iter=esc_iter.reshape(res, res))
 
@@ -100,7 +99,7 @@ def dedup_points(pts, tol=1e-8):
     kept = np.zeros(len(pts), dtype=bool)
     for i, j in enumerate(first):
         near = pts[j:i][kept[j:i]]
-        kept[i] = not (np.abs(near - pts[i]).max(axis=-1) < tol).any()
+        kept[i] = not (sup_norm(near - pts[i]) < tol).any()
     return pts[kept]
 
 
@@ -153,7 +152,7 @@ def directed_distance(A, B, chunk=1024):
     worst = 0.0
     for s in range(0, len(A), chunk):
         a = A.points[s : s + chunk]
-        d = np.abs(a[:, None, :] - b[None, :, :]).max(axis=-1)
+        d = sup_norm(a[:, None, :] - b[None, :, :])
         worst = max(worst, float(d.min(axis=1).max()))
     return worst
 
@@ -173,24 +172,16 @@ def cloud_to_csv(cloud, n):
 
 def spread_probe(pmap, cellU, cellV, k_max, samples=256, R=None, seed=0):
     """Smallest k <= k_max with f^k(sample of U) meeting V, else None."""
-    pts = np.concatenate([cellU.sample(samples, seed=seed),
-                          cellU.grid_centers(2)])
+    x = np.concatenate([cellU.sample(samples, seed=seed),
+                        cellU.grid_centers(2)])
     if R is None:
         R = 1e6
-    x = pts.copy()
-    alive = np.ones(len(x), dtype=bool)
-    for k in range(1, k_max + 1):
-        idx = np.flatnonzero(alive)
-        if idx.size == 0:
-            return None
-        x[idx], _, reached = map_kernel(pmap, x[idx])
-        alive[idx[reached == 0]] = False  # overflow: no longer alive
-        idx = idx[reached == 1]
-        far = np.abs(x[idx]).max(axis=-1) > R
-        alive[idx[far]] = False
-        idx = idx[~far]
-        if idx.size and bool(cellV.contains(x[idx]).any()):
-            return k
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, k_max + 1):
+            x, _, norm, ok = _step(pmap, x, False)
+            x = x[ok & ~(norm > R)]  # a point ends at overflow or past R
+            if cellV.contains(x).any():
+                return k
     return None
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -235,10 +235,11 @@ def map_kernel(pmap, p, m=1, jacobian=False):
     For ``p`` with a batch axis, each point's result does not depend on
     the rest of the batch, bit for bit, so a caller drops the points that
     are not ok and keeps the rest; a (1, n) batch gives the same bits as
-    its row in any larger batch (``escape_grid`` relies on this to step
-    only its live cells).  A bare (n,) point does not: part of its
-    products go through NumPy scalar arithmetic, which can differ from
-    the array loops in the last bit.
+    its row in any larger batch (the orbit loops of ``orbits`` and
+    ``julia`` rely on this to step only their live points).  A bare (n,)
+    point does not: part of its products go through NumPy scalar
+    arithmetic, which can differ from the array loops in the last bit.
+    The finite-range rule lives in ``_step``, which those loops call.
     """
     p = _as_points(p, pmap.n)
     batch = p.shape[:-1]
@@ -249,15 +250,22 @@ def map_kernel(pmap, p, m=1, jacobian=False):
     x = p
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(m):
-            x, J = _step(pmap, x, jacobian is not False)
-            # a NaN or infinite entry fails the comparison too
-            ok = (np.abs(x) <= _FINITE_LIMIT).all(axis=-1)
+            x, J, _, ok = _step(pmap, x, jacobian is not False)
             if J is not None:
-                ok &= np.isfinite(J).all(axis=(-2, -1))
                 jac = J if jac is None else J @ jac
             if not ok.all():
                 steps[~ok & (steps == m)] = k
     return x, jac, steps
+
+
+def sup_norm(x):
+    """max_j |x_j| per point of x (..., n), the values of np.abs(x).max(-1)
+    (a max is exact; np.maximum propagates NaN as max does), several times
+    faster than that reduction over so short a last axis."""
+    out = np.abs(x[..., 0])
+    for j in range(1, x.shape[-1]):
+        out = np.maximum(out, np.abs(x[..., j]))
+    return out
 
 
 def _raise_overflow(steps, m):
@@ -269,12 +277,21 @@ def _raise_overflow(steps, m):
 
 
 def _step(pmap, x, jacobian):
-    """One application of f: (value, Jacobian or None)."""
+    """f once at points x (..., n), under the caller's errstate: (value,
+    Jacobian or None, sup-norm of value, ok).  ok is the finite-range rule:
+    value and Jacobian finite, sup-norm <= 1e150 (NaN fails it too)."""
     if pmap.entire is None:
-        return _poly_step(pmap, x, jacobian)
-    z = x[..., 0]
-    v, g = _entire_step(pmap.entire, z, np.ones_like(z) if jacobian else None)
-    return v[..., None], None if g is None else g[..., None, None]
+        v, J = _poly_step(pmap, x, jacobian)
+    else:
+        z = x[..., 0]
+        v, g = _entire_step(pmap.entire, z,
+                            np.ones_like(z) if jacobian else None)
+        v, J = v[..., None], None if g is None else g[..., None, None]
+    norm = sup_norm(v)
+    ok = norm <= _FINITE_LIMIT
+    if J is not None:
+        ok &= np.isfinite(J).all(axis=(-2, -1))
+    return v, J, norm, ok
 
 
 def _poly_step(pmap, p, jacobian):

@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from .julia import dedup_points
-from .maps import escape_radius, map_kernel
+from .maps import _step, escape_radius, map_kernel, sup_norm
 
 N_MAX_DEFAULT = 2000
 BURN_IN_DEFAULT = 500
@@ -41,19 +41,20 @@ def orbit(pmap, p, n_max, R):
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    p = np.asarray(p, dtype=complex).reshape(pmap.n)
-    pts = [p]
-    for k in range(n_max + 1):
-        if np.abs(pts[-1]).max() > R:
-            return Orbit(points=np.array(pts), escaped=True, escape_index=k)
-        if k == n_max:
-            break
-        # the bare (n,) point, as PolyMap.eval takes it: the same bits
-        x, _, steps = map_kernel(pmap, pts[-1])
-        if steps < 1:
-            return Orbit(points=np.array(pts), escaped=True, escape_index=k + 1)
-        pts.append(x)
-    return Orbit(points=np.array(pts), escaped=False, escape_index=None)
+    x = np.asarray(p, dtype=complex).reshape(pmap.n)
+    pts, k, norm = [x], 0, sup_norm(x)
+    with np.errstate(over="ignore", invalid="ignore"):
+        while not norm > R:  # a NaN start fails at step 1
+            if k == n_max:
+                return Orbit(points=np.array(pts), escaped=False,
+                             escape_index=None)
+            k += 1
+            # the bare (n,) point, as PolyMap.eval takes it: the same bits
+            x, _, norm, ok = _step(pmap, x, False)
+            if not ok:  # an overflowing point is not kept
+                break
+            pts.append(x)
+    return Orbit(points=np.array(pts), escaped=True, escape_index=k)
 
 
 def orbit_to_csv(o):
@@ -98,21 +99,19 @@ def basin_test_B2prime(pmap, cycle, p, radius, n_max=N_MAX_DEFAULT, tol=1e-6,
     p = np.asarray(p, dtype=complex).reshape(pmap.n)
     if R is None:
         R = _default_radius(pmap, cycle)
-    pts = shell_points(p, radius, pmap.n)
-    x = pts.copy()
+    x = shell_points(p, radius, pmap.n)
     cyc = np.array([np.asarray(q).reshape(pmap.n) for q in cycle.points])
-    entered = np.zeros(len(pts), dtype=bool)
-    for _ in range(n_max):
-        x, _, steps = map_kernel(pmap, x)
-        if (steps < 1).any():
-            return False
-        if np.any(np.abs(x).max(axis=-1) > R):
-            return False
-        d = np.abs(x[:, None, :] - cyc[None, :, :]).max(axis=-1).min(axis=-1)
-        entered |= d < tol
-        if entered.all():
-            # trapped: attracting cycles do not release a tol-neighbourhood
-            return True
+    entered = np.zeros(len(x), dtype=bool)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(n_max):
+            x, _, norm, ok = _step(pmap, x, False)
+            if not ok.all() or (norm > R).any():
+                return False
+            d = sup_norm(x[:, None, :] - cyc[None, :, :]).min(axis=-1)
+            entered |= d < tol
+            if entered.all():
+                # trapped: attracting cycles do not release a tol-neighbourhood
+                return True
     return False
 
 
@@ -158,34 +157,26 @@ def basin_mask(pmap, cycle, points, n_max=N_MAX_DEFAULT, tol=1e-6, R=None):
         R = _default_radius(pmap, cycle)
     m = cycle.period
     cyc = np.array([np.asarray(q).reshape(pmap.n) for q in cycle.points])
-    x = pts.copy()
-    alive = np.ones(len(pts), dtype=bool)
-    locked = np.full(len(pts), -1)
-    steps = max(1, n_max // m)
-    for _ in range(steps):
-        idx = np.flatnonzero(alive)
-        if idx.size == 0:
-            break
-        x[idx], _, reached = map_kernel(pmap, x[idx], m)
-        over = reached < m  # an overflowing point is no longer alive
-        alive[idx[over]] = False
-        locked[idx[over]] = -1
-        idx = idx[~over]
-        if idx.size == 0:
-            break
-        esc = np.abs(x[idx]).max(axis=-1) > R
-        alive[idx[esc]] = False
-        locked[idx[esc]] = -1
-        idx = idx[~esc]
-        d = np.abs(x[idx][:, None, :] - cyc[None, :, :]).max(axis=-1)
-        j = d.argmin(axis=1)
-        near = d[np.arange(len(idx)), j] < tol
-        fresh = locked[idx] < 0
-        locked[idx[near & fresh]] = j[near & fresh]
-        broke = ~fresh & (~near | (j != locked[idx]))
-        alive[idx[broke]] = False
-        locked[idx[broke]] = -1
-    return locked >= 0
+    # live points: index, point, locked cycle point (-1 while unlocked)
+    live, x, locked = np.arange(len(pts)), pts, np.full(len(pts), -1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(max(1, n_max // m)):
+            if live.size == 0:
+                break
+            ok = True
+            for _ in range(m):  # an overflowing point dies
+                x, _, norm, good = _step(pmap, x, False)
+                ok = ok & good
+            d = sup_norm(x[:, None, :] - cyc[None, :, :])
+            j = d.argmin(axis=1)
+            near = d[np.arange(len(live)), j] < tol
+            fresh = locked < 0
+            broke = ~fresh & (~near | (j != locked))
+            locked = np.where(near & fresh, j, locked)
+            dead = ~ok | (norm > R) | broke
+            if dead.any():
+                live, x, locked = live[~dead], x[~dead], locked[~dead]
+    return np.isin(np.arange(len(pts)), live[locked >= 0])
 
 
 # ---------------------------------------------------------------------------

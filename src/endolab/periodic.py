@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .maps import map_kernel
+from .maps import map_kernel, sup_norm
 
 DEDUP_TOL = 1e-8
 UNIT_MARGIN = 1e-6  # |lambda| within this of 1 counts as borderline
@@ -132,7 +132,7 @@ def _newton_batch(pmap, x0, m, tol, max_steps=50, max_halvings=30):
         if idx.size == 0:
             break
         g, J = fx[ok] - xs[ok], J[ok] - eye
-        r = np.abs(g).max(axis=-1)
+        r = sup_norm(g)
         res[idx] = r
         done = r < tol
         active[idx[done]] = False
@@ -165,7 +165,7 @@ def _newton_batch(pmap, x0, m, tol, max_steps=50, max_halvings=30):
             fb, _, steps = map_kernel(pmap, best[trial], m)
             ok = steps == m
             rn[trial] = np.inf
-            rn[trial[ok]] = np.abs(fb[ok] - best[trial[ok]]).max(axis=-1)
+            rn[trial[ok]] = sup_norm(fb[ok] - best[trial[ok]])
             worse = ~(rn <= r) & (t_damp > 2.0 ** -float(max_halvings))
             if not worse.any():
                 break
@@ -203,8 +203,7 @@ def _collect_cycles(pmap, roots, m_max, window, tol):
     resid = np.empty(len(roots))
     count = 0
     for p, r in roots:
-        hit = np.flatnonzero(
-            np.abs(reps[:count] - p).max(axis=-1) < DEDUP_TOL)
+        hit = np.flatnonzero(sup_norm(reps[:count] - p) < DEDUP_TOL)
         if hit.size == 0:
             reps[count], resid[count] = p, r
             count += 1
@@ -222,7 +221,7 @@ def _collect_cycles(pmap, roots, m_max, window, tol):
         orbit.append(x)
     orbit = np.stack(orbit)
     with np.errstate(over="ignore", invalid="ignore"):
-        gap = np.abs(orbit[1:] - reps).max(axis=-1)
+        gap = sup_norm(orbit[1:] - reps)
     back = ok & (gap < max(tol, DEDUP_TOL))
     period = np.where(back.any(axis=0), back.argmax(axis=0) + 1, 0)
 
@@ -237,9 +236,9 @@ def _collect_cycles(pmap, roots, m_max, window, tol):
             continue
         # base point: lexicographically smallest orbit point inside window
         base = min(cyc[inside], key=_lex_key)
-        k = np.flatnonzero(np.abs(cyc - base).max(axis=-1) < DEDUP_TOL)[0]
+        k = np.flatnonzero(sup_norm(cyc - base) < DEDUP_TOL)[0]
         cyc = np.roll(cyc, -k, axis=0)
-        near = np.abs(reps[:, None, :] - cyc[None, :, :]).max(axis=-1)
+        near = sup_norm(reps[:, None, :] - cyc[None, :, :])
         used |= (near < 10 * DEDUP_TOL).any(axis=1)
         cycles.append(classify(pmap, list(cyc), residual=float(resid[i])))
     cycles.sort(key=lambda c: (c.period, _lex_key(c.points[0])))

@@ -211,6 +211,18 @@ class TestErrors:
         # a Newton tol above the 1e-8 dedup leaves copies of each root
         ("periodic", "tol", "1e400"),
         ("periodic", "tol", "1e-6"),
+        # a count is an integer: int() would truncate a fraction
+        ("periodic", "m_max", "2.7"),
+        ("periodic", "seeds", "16.9"),
+        ("julia", "res", "16.9"),
+        ("julia", "n_max", "10.5"),
+        ("conley", "depth", "2.5"),
+        ("perturb", "budget", "7.5"),
+        ("hakim", "steps", "2.5"),
+        # a bool is no number: int(true) and float(true) are 1
+        ("periodic", "m_max", "true"),
+        ("julia", "R", "true"),
+        ("hakim", "dim", "true"),
     ])
     def test_bad_subcommand_value_is_config_error(self, tmp_path, mapfile,
                                                   cmd, key, value):
@@ -224,6 +236,14 @@ class TestErrors:
                    "--out", str(tmp_path / "o"), "--set", "res", "16",
                    "--set", "slice", value])
         assert rc == 2
+
+    def test_integral_float_count_is_accepted(self, tmp_path, mapfile):
+        out = tmp_path / "o"
+        rc = main(["periodic", "--map", mapfile(Z2), "--out", str(out),
+                   "--set", "m_max", "1.0", "--set", "seeds", "64.0"])
+        assert rc == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["cycle_count"] == 2
 
     def test_infinite_R_is_config_error(self, tmp_path, mapfile):
         # JSON reads 1e400 as an infinite R, which grid.json cannot hold

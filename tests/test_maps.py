@@ -17,7 +17,7 @@ from endolab import (
     escape_radius,
     rank_check,
 )
-from endolab.maps import _poly_step, halton, map_kernel
+from endolab.maps import _poly_step, halton, map_kernel, sup_norm
 
 RNG = np.random.default_rng(1234)
 
@@ -271,6 +271,24 @@ class TestJets:
         with pytest.raises(MapOverflowError) as ei:
             f.iterate(np.array([1e60 + 0j]), 4)
         assert ei.value.index == 1  # 1e120 is finite, 1e240 is not
+
+
+class TestSupNorm:
+    def test_matches_abs_max_word_for_word(self):
+        # a max is exact and np.maximum propagates NaN as the reduction does
+        rng = np.random.default_rng(17)
+        special = np.array([np.nan, np.inf, -np.inf, 0.0, -0.0, 1e150,
+                            -1e150, np.nextafter(1e150, np.inf), 0.75])
+        pairs = np.array([complex(a, b) for a in special for b in special])
+        for n in (1, 2, 3):
+            x = rng.choice(pairs, size=(400, n))
+            x[:100] = (rng.normal(size=(100, n)) + 1j * rng.normal(
+                size=(100, n))) * 10.0 ** rng.integers(-5, 5, size=(100, n))
+            for p in [x, x.reshape(4, 100, n), x[:0]] + list(x):
+                got, want = sup_norm(p), np.abs(p).max(axis=-1)
+                assert np.shape(got) == np.shape(want)
+                assert np.asarray(got).dtype == want.dtype
+                assert np.array_equal(words(got), words(want))
 
 
 class TestIterate:
