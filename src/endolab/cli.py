@@ -50,6 +50,7 @@ def _load_config(args):
     if args.seed is not None:
         cfg["seed"] = args.seed
     cfg.setdefault("seed", 0)
+    _positive(cfg, "seed", 0, low=-1)  # a seed is an integer >= 0
     return cfg
 
 
@@ -79,7 +80,7 @@ def _get_window(cfg, n, key="window", default_half=2.0):
     return window
 
 
-def _positive(cfg, key, default):
+def _positive(cfg, key, default, low=0):
     v = cfg.get(key, default)
     try:
         x = type(default)(v)
@@ -87,8 +88,8 @@ def _positive(cfg, key, default):
             raise ValueError  # a bool is no number; int() truncates 2.7
     except (TypeError, ValueError, OverflowError):  # int(inf) overflows
         raise ConfigError(f"bad value for {key}: {v!r}") from None
-    if not 0 < x < float("inf"):  # NaN too
-        raise ConfigError(f"{key} must be positive and finite")
+    if not low < x < float("inf"):  # NaN too
+        raise ConfigError(f"{key} must be finite and above {low}")
     return x
 
 

@@ -240,21 +240,28 @@ def map_kernel(pmap, p, m=1, jacobian=False):
     point does not: part of its products go through NumPy scalar
     arithmetic, which can differ from the array loops in the last bit.
     The finite-range rule lives in ``_step``, which those loops call.
+    ``m`` may be per point (>= 1, non-increasing along an (S, n) batch):
+    step k maps only the prefix with m > k, so rows keep their int-m bits.
     """
     p = _as_points(p, pmap.n)
-    batch = p.shape[:-1]
-    steps = np.full(batch, m)
+    m = np.asarray(m)
+    steps = np.full(p.shape[:-1], m)
     jac = None
     if not isinstance(jacobian, bool):
-        jac = np.broadcast_to(jacobian, batch + (pmap.n, pmap.n)).copy()
+        jac = np.broadcast_to(jacobian, p.shape + (pmap.n,)).copy()
     x = p
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(m):
-            x, J, _, ok = _step(pmap, x, jacobian is not False)
-            if J is not None:
-                jac = J if jac is None else J @ jac
+        for k in range(m.max(initial=0)):
+            live = ... if m.ndim == 0 else slice(np.count_nonzero(m > k))
+            v, J, _, ok = _step(pmap, x[live], jacobian is not False)
+            if k == 0:  # every point makes step 0: x and jac become ours
+                x, jac = v, J if jac is None else J @ jac
+            else:
+                x[live] = v
+                if J is not None:
+                    jac[live] = J @ jac[live]
             if not ok.all():
-                steps[~ok & (steps == m)] = k
+                steps[live][~ok & (steps[live] > k)] = k  # first failed step
     return x, jac, steps
 
 

@@ -106,6 +106,8 @@ def minimal_period(pmap, p, m, tol):
 def _newton_batch(pmap, x0, m, tol, max_steps=50, max_halvings=30):
     """Damped Newton on g(x) = f^m(x) - x for a batch of seeds.
 
+    ``m`` is an int or, as ``map_kernel`` takes it, a per-seed count that
+    does not increase along the batch; each seed keeps its bits either way.
     Returns (points, residuals).  A seed's residual is max |g| at the
     last point where g was evaluated; a converged seed's is below tol.
     Seeds whose Newton system goes singular or whose orbit overflows are
@@ -113,20 +115,19 @@ def _newton_batch(pmap, x0, m, tol, max_steps=50, max_halvings=30):
     last finite residual; only a seed that overflows at its first
     evaluation keeps residual inf.
     """
-    n = pmap.n
     x = np.array(x0, dtype=complex)
-    S = x.shape[0]
-    res = np.full(S, np.inf)
-    active = np.ones(S, dtype=bool)
-    eye = np.eye(n, dtype=complex)
+    m = np.broadcast_to(m, len(x))
+    res = np.full(len(x), np.inf)
+    active = np.ones(len(x), dtype=bool)
+    eye = np.eye(pmap.n, dtype=complex)
 
     for k in range(max_steps):
         idx = np.flatnonzero(active)
         if idx.size == 0:
             break
         xs = x[idx]
-        fx, J, steps = map_kernel(pmap, xs, m, jacobian=eye)
-        ok = steps == m  # seeds whose orbit overflows are dropped
+        fx, J, steps = map_kernel(pmap, xs, m[idx], jacobian=eye)
+        ok = steps == m[idx]  # seeds whose orbit overflows are dropped
         active[idx[~ok]] = False
         idx = idx[ok]
         if idx.size == 0:
@@ -156,42 +157,43 @@ def _newton_batch(pmap, x0, m, tol, max_steps=50, max_halvings=30):
             break
         # damping: halve until the residual no longer increases; a trial
         # point whose orbit overflows has residual inf.  Only the halved
-        # rows have a new trial point to evaluate.
+        # rows are evaluated again, and only they can get worse.
         t_damp = np.ones(len(idx))
         best = x[idx] - step
-        rn = np.full(len(idx), np.inf)
         trial = np.arange(len(idx))
         for _ in range(max_halvings):
-            fb, _, steps = map_kernel(pmap, best[trial], m)
-            ok = steps == m
-            rn[trial] = np.inf
-            rn[trial[ok]] = sup_norm(fb[ok] - best[trial[ok]])
-            worse = ~(rn <= r) & (t_damp > 2.0 ** -float(max_halvings))
-            if not worse.any():
+            fb, _, steps = map_kernel(pmap, best[trial], m[idx[trial]])
+            ok = steps == m[idx[trial]]
+            rn = np.full(len(trial), np.inf)
+            rn[ok] = sup_norm(fb[ok] - best[trial[ok]])
+            trial = trial[~(rn <= r[trial])
+                          & (t_damp[trial] > 2.0 ** -float(max_halvings))]
+            if trial.size == 0:
                 break
-            t_damp[worse] *= 0.5
-            best[worse] = x[idx[worse]] - t_damp[worse, None] * step[worse]
-            trial = np.flatnonzero(worse)
+            t_damp[trial] *= 0.5
+            best[trial] = x[idx[trial]] - t_damp[trial, None] * step[trial]
         x[idx] = best
     return x, res
 
 
 def find_periodic(pmap, m_max, window, seeds=1024, tol=1e-10, seed=0):
     """All cycles found with minimal period <= m_max and base point in the
-    window, sorted by period then lexicographically by base point."""
+    window, sorted by period then lexicographically by base point.
+
+    One Newton batch holds every period's seeds, highest period first, so
+    the seeds still stepping are a prefix (``map_kernel``).  Roots are then
+    listed by period, then seed: the dedup keeps the first rep in reach."""
     if m_max < 1 or seeds < 1:
         raise ValueError("m_max and seeds must be >= 1")
     # a root accepted at residual tol is resolved only to about tol: above
     # DEDUP_TOL the dedup cannot merge its copies.  NaN fails the test too
     if not 0 < tol <= DEDUP_TOL:
         raise ValueError(f"tol must lie in (0, {DEDUP_TOL:g}]")
-    roots = []  # (point, residual)
-    for m in range(1, m_max + 1):
-        x0 = window.sample(seeds, seed=seed + m)
-        pts, res = _newton_batch(pmap, x0, m, tol)
-        for p, r in zip(pts, res):
-            if r < tol:
-                roots.append((p, float(r)))
+    m = np.repeat(np.arange(1, m_max + 1), seeds)[::-1]
+    x0 = np.concatenate([window.sample(seeds, seed=seed + k)
+                         for k in range(1, m_max + 1)])[::-1]
+    pts, res = _newton_batch(pmap, x0, m, tol)
+    roots = [(p, float(r)) for p, r in zip(pts[::-1], res[::-1]) if r < tol]
     return _collect_cycles(pmap, roots, m_max, window, tol)
 
 

@@ -237,6 +237,37 @@ class TestErrors:
                    "--set", "slice", value])
         assert rc == 2
 
+    @pytest.mark.parametrize("cmd", ["periodic", "julia", "conley",
+                                     "perturb"])
+    @pytest.mark.parametrize("seed", [
+        ["--set", "seed", "2.5"],  # int() would truncate it
+        ["--set", "seed", "true"],  # a bool is no number
+        ["--set", "seed", "-1"],  # default_rng raises on a negative seed
+        ["--seed", "-5"],
+        ["--set", "seed", '"abc"'],
+        ["--set", "seed", "1e400"],
+    ], ids=["fraction", "bool", "negative", "negative_flag", "string",
+            "infinite"])
+    def test_bad_seed_is_config_error(self, tmp_path, mapfile, cmd, seed):
+        argv = [cmd, "--map", mapfile(BASILICA), "--out", str(tmp_path / "o"),
+                "--set", "m_max", "1", "--set", "seeds", "16"] + seed
+        if cmd == "perturb":  # escaping is the perturb operation with a seed
+            argv += ["--set", "operation", '"escaping"']
+        assert main(argv) == 2
+
+    def test_integral_float_seed_is_accepted(self, tmp_path, mapfile):
+        runs = {}
+        for seed in ("3", "3.0"):
+            out = tmp_path / seed
+            rc = main(["periodic", "--map", mapfile(BASILICA), "--out",
+                       str(out), "--set", "m_max", "2", "--set", "seeds",
+                       "32", "--set", "seed", seed])
+            assert rc == 0
+            runs[seed] = (out / "cycles.csv").read_text().splitlines()[1:]
+            summary = json.loads((out / "summary.json").read_text())
+            assert summary["seed"] == json.loads(seed)  # kept as given
+        assert runs["3"] == runs["3.0"]
+
     def test_integral_float_count_is_accepted(self, tmp_path, mapfile):
         out = tmp_path / "o"
         rc = main(["periodic", "--map", mapfile(Z2), "--out", str(out),

@@ -255,6 +255,28 @@ class TestJets:
                     if a is not None:
                         assert np.array_equal(words(a[sub]), words(b))
 
+    def test_per_point_m_matches_int_m_rows(self):
+        # a non-increasing per-point m steps a prefix of the batch; each
+        # row keeps the bits (and step count) of its own int-m call
+        rng = np.random.default_rng(23)
+        eye = np.eye(3, dtype=complex)
+        for n, d in ((1, 2), (2, 3), (3, 2)):
+            f = random_map(n, degree=d, rng=rng)
+            pts = 0.8 * (rng.normal(size=(30, n))
+                         + 1j * rng.normal(size=(30, n)))
+            pts[[3, 17, 29]] = 1e80  # overflow at step 0, 1 or 2
+            pts[[3, 17, 29], 0] = (1e80, 1e60, 1e40)
+            m = np.sort(rng.integers(1, 6, size=30))[::-1]
+            for jacobian in (False, True, eye[:n, :n]):
+                got = map_kernel(f, pts, m, jacobian=jacobian)
+                assert (got[2] < m).sum() >= 2
+                for i in range(30):
+                    one = map_kernel(f, pts[i:i + 1], int(m[i]),
+                                     jacobian=jacobian)
+                    for a, b in zip(got, one):
+                        if a is not None:
+                            assert np.array_equal(words(a[i]), words(b[0]))
+
     def test_eval_does_not_mutate_input(self):
         f = random_map(1)
         pts = np.array([[0.1 + 0.2j], [0.3 - 0.1j]])

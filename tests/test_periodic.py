@@ -3,9 +3,17 @@
 import numpy as np
 import pytest
 
-from endolab import PolyMap, Window, classify, eigenvalues, find_periodic
+from endolab import (
+    EntireNode,
+    PolyMap,
+    Window,
+    classify,
+    eigenvalues,
+    find_periodic,
+)
 from endolab.periodic import (
     DEDUP_TOL,
+    _collect_cycles,
     _newton_batch,
     classify_multipliers,
     cycles_to_csv,
@@ -16,6 +24,25 @@ from endolab.periodic import (
 Z2 = PolyMap.from_coeffs_1d([0, 0, 1])
 BASILICA = PolyMap.from_coeffs_1d([-1, 0, 1])
 W2 = Window.square(1, -2, 2)
+# maps of the joint-batch tests, each with a point where D f - I is
+# singular, so that Newton's first system there is singular
+CUBIC = PolyMap.from_coeffs_1d([0.1 + 0.2j, 0.25, 0, 1])  # f'(1/2) = 1
+TRI2 = PolyMap.from_terms(2, [[((2, 0), 1), ((0, 0), -0.5)],
+                              [((0, 2), 1), ((1, 0), 0.3)]])
+TRI3 = PolyMap.from_terms(3, [[((2, 0, 0), 1), ((0, 0, 0), -0.3)],
+                              [((0, 2, 0), 1), ((1, 0, 0), 0.2)],
+                              [((0, 0, 2), 1), ((0, 1, 0), 0.1 + 0.1j)]])
+EXP_SIN = PolyMap.entire_1d(EntireNode(  # exp(sin z) - 1/2; f'(0) = 1
+    "poly", coeffs=(-0.5, 1.0), inner=EntireNode("exp",
+                                                 inner=EntireNode("sin"))))
+JOINT_CASES = {  # map -> (window, seed with a singular Newton system)
+    "z2": (Z2, W2, 0.5),
+    "basilica": (BASILICA, W2, 0.5),
+    "cubic": (CUBIC, W2, 0.5),
+    "tri2": (TRI2, Window.square(2, -2, 2), (0.5, 0.1j)),
+    "tri3": (TRI3, Window.square(3, -2, 2), (0.5, 0.1j, -0.2)),
+    "exp_sin": (EXP_SIN, Window.square(1, -3, 3), 0.0),
+}
 
 
 def mobius(n):
@@ -110,6 +137,82 @@ class TestNewtonBatch:
         assert np.array_equal(res2[:-1], res)
         assert pts2[-1, 0] == bad and res2[-1] == res_bad
         assert (res < 1e-10).sum() > 32
+
+
+def words(a):
+    return np.asarray(a).view(np.int64)
+
+
+def per_period_newton(pmap, blocks, tol):
+    """The loop find_periodic ran before its joint batch: one Newton batch
+    per period, blocks[m - 1] holding period m's seeds."""
+    out = [_newton_batch(pmap, x0, m, tol)
+           for m, x0 in enumerate(blocks, start=1)]
+    return (np.concatenate([p for p, _ in out]),
+            np.concatenate([r for _, r in out]))
+
+
+def joint_newton(pmap, blocks, tol):
+    """One batch over every block, highest period first, as find_periodic
+    runs it; the rows come back in the order of per_period_newton."""
+    m = np.concatenate([np.full(len(b), k) for k, b in
+                        enumerate(blocks, start=1)])[::-1]
+    pts, res = _newton_batch(pmap, np.concatenate(blocks)[::-1], m, tol)
+    return pts[::-1], res[::-1]
+
+
+def cycle_words(cycles):
+    return [(c.period, words(np.array(c.points)).tolist(),
+             words(np.array(c.multipliers)).tolist(), c.klass, c.transverse,
+             words(c.newton_residual).tolist()) for c in cycles]
+
+
+class TestJointNewtonBatch:
+    @pytest.mark.parametrize("m_max", [1, 4, 9])
+    @pytest.mark.parametrize("name", sorted(JOINT_CASES))
+    def test_matches_per_period_loop(self, name, m_max):
+        f, window, singular = JOINT_CASES[name]
+        tol, seeds, seed = 1e-10, 48, 11
+        blocks = [window.sample(seeds, seed=seed + m)
+                  for m in range(1, m_max + 1)]
+        # find_periodic's cycles, word for word
+        pts, res = per_period_newton(f, blocks, tol)
+        roots = [(p, float(r)) for p, r in zip(pts, res) if r < tol]
+        want = _collect_cycles(f, roots, m_max, window, tol)
+        got = find_periodic(f, m_max, window, seeds=seeds, tol=tol,
+                            seed=seed)
+        assert len(got) > 0 and cycle_words(got) == cycle_words(want)
+        # the Newton rows, with a seed whose first system is singular in
+        # period 1's block and one that overflows at once in period m_max's
+        blocks[0] = np.vstack([blocks[0], [singular]])
+        at = len(blocks[0]) - 1
+        blocks[-1] = np.vstack([blocks[-1], np.full((1, f.n), 1e200 + 1e200j)])
+        want = per_period_newton(f, blocks, tol)
+        got = joint_newton(f, blocks, tol)
+        for a, b in zip(got, want):
+            assert np.array_equal(words(a), words(b))
+        pts, res = got
+        # both are dropped where they started
+        assert res[-1] == np.inf and np.array_equal(pts[-1], blocks[-1][-1])
+        assert np.array_equal(pts[at], singular * np.ones(f.n))
+        assert tol < res[at] < np.inf
+        assert (res < tol).sum() > len(res) // 8
+
+    @pytest.mark.parametrize("f,m,bad,res_bad", [
+        (BASILICA, 2, 1e80, np.inf),  # the orbit overflows
+        (Z2, 1, 0.5, 0.25),  # J = f'(0.5) - 1 = 0: the system is singular
+    ], ids=["overflow", "singular"])
+    def test_rows_stay_independent_across_periods(self, f, m, bad, res_bad):
+        blocks = [W2.sample(64, seed=3 + k) for k in range(1, 4)]
+        pts, res = joint_newton(f, blocks, 1e-10)
+        at = sum(len(b) for b in blocks[:m])  # the bad seed's row
+        blocks[m - 1] = np.vstack([blocks[m - 1], [[bad + 0j]]])
+        pts2, res2 = joint_newton(f, blocks, 1e-10)
+        keep = np.arange(len(pts2)) != at
+        assert np.array_equal(words(pts2[keep]), words(pts))
+        assert np.array_equal(words(res2[keep]), words(res))
+        assert pts2[at, 0] == bad and res2[at] == res_bad
+        assert (res < 1e-10).sum() > 96
 
 
 class TestClassification:
