@@ -208,12 +208,13 @@ class Jet:
 
 
 def _as_points(p, n):
+    """p as a batch (..., n), and whether it was one bare point, (n,) or 0-d
+    on a 1-D map; a bare point becomes a (1, n) batch."""
     p = np.asarray(p, dtype=complex)
-    if p.shape == () and n == 1:
-        p = p.reshape(1)
-    if p.shape[-1] != n:
-        raise ValueError(f"point dimension {p.shape[-1]} != map dimension {n}")
-    return p
+    if p.shape[-1:] != (n,) and not (p.ndim == 0 and n == 1):
+        raise ValueError(f"point of shape {p.shape} for a map of dimension {n}")
+    bare = p.ndim <= 1
+    return (p.reshape(1, n) if bare else p), bare
 
 
 def map_kernel(pmap, p, m=1, jacobian=False):
@@ -232,24 +233,24 @@ def map_kernel(pmap, p, m=1, jacobian=False):
       point is ok where ``steps == m``; otherwise its value and Jacobian
       mean nothing.
 
-    For ``p`` with a batch axis, each point's result does not depend on
-    the rest of the batch, bit for bit, so a caller drops the points that
-    are not ok and keeps the rest; a (1, n) batch gives the same bits as
-    its row in any larger batch (the orbit loops of ``orbits`` and
-    ``julia`` rely on this to step only their live points).  A bare (n,)
-    point does not: part of its products go through NumPy scalar
-    arithmetic, which can differ from the array loops in the last bit.
-    The finite-range rule lives in ``_step``, which those loops call.
-    ``m`` may be per point (>= 1, non-increasing along an (S, n) batch):
-    step k maps only the prefix with m > k, so rows keep their int-m bits.
+    A point's bits do not depend on the rest of the batch, so a caller
+    drops the points that are not ok and keeps the rest (the orbit loops of
+    ``orbits`` and ``julia`` call ``_step``, which holds the finite-range
+    rule, on their live points alone).  A bare (n,) point is a (1, n) batch,
+    squeezed on return, so it has the bits of its row in any batch.
+    ``m`` >= 0, and m = 0 returns a copy of p.  It may be per point (>= 1,
+    non-increasing along an (S, n) batch): step k maps only the prefix
+    with m > k, so rows keep their int-m bits.
     """
-    p = _as_points(p, pmap.n)
+    p, bare = _as_points(p, pmap.n)
     m = np.asarray(m)
+    if (m < 0).any():
+        raise ValueError("m must be >= 0")
     steps = np.full(p.shape[:-1], m)
     jac = None
     if not isinstance(jacobian, bool):
         jac = np.broadcast_to(jacobian, p.shape + (pmap.n,)).copy()
-    x = p
+    x = p if m.any() else p.copy()  # m = 0 must not hand back p itself
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(m.max(initial=0)):
             live = ... if m.ndim == 0 else slice(np.count_nonzero(m > k))
@@ -262,6 +263,8 @@ def map_kernel(pmap, p, m=1, jacobian=False):
                     jac[live] = J @ jac[live]
             if not ok.all():
                 steps[live][~ok & (steps[live] > k)] = k  # first failed step
+    if bare:
+        return x[0], None if jac is None else jac[0], steps[0]
     return x, jac, steps
 
 

@@ -41,20 +41,19 @@ def orbit(pmap, p, n_max, R):
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    x = np.asarray(p, dtype=complex).reshape(pmap.n)
+    x = np.asarray(p, dtype=complex).reshape(1, pmap.n)
     pts, k, norm = [x], 0, sup_norm(x)
     with np.errstate(over="ignore", invalid="ignore"):
         while not norm > R:  # a NaN start fails at step 1
             if k == n_max:
-                return Orbit(points=np.array(pts), escaped=False,
+                return Orbit(points=np.concatenate(pts), escaped=False,
                              escape_index=None)
             k += 1
-            # the bare (n,) point, as PolyMap.eval takes it: the same bits
             x, _, norm, ok = _step(pmap, x, False)
             if not ok:  # an overflowing point is not kept
                 break
             pts.append(x)
-    return Orbit(points=np.array(pts), escaped=True, escape_index=k)
+    return Orbit(points=np.concatenate(pts), escaped=True, escape_index=k)
 
 
 def orbit_to_csv(o):

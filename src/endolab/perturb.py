@@ -17,7 +17,7 @@ import numpy as np
 import scipy.linalg
 
 from .julia import dedup_points
-from .maps import PolyMap, map_kernel
+from .maps import PolyMap, map_kernel, sup_norm
 from .orbits import orbit, shell_points
 from .periodic import classify, eigenvalues
 
@@ -167,14 +167,13 @@ def interpolate_correction(f, constraints, degree_budget, K,
 
     pinned = np.array([c.jacobian is not None for c in constraints])
     A = _jet_rows(*_monomial_table(pts, basis, True), pinned)
-    # right-hand side: what delta must contribute on top of f.  Jets stay
-    # at bare (n,) points: (1, n) batches can differ in the last bit
-    jets = [f.jet(p) for p in pts]
+    # right-hand side: what delta must contribute on top of f
+    jt = f.jet(pts)
     want = np.array([c.value for c in constraints], dtype=complex)
     want_jac = np.array([np.zeros((n, n)) if c.jacobian is None
                          else c.jacobian for c in constraints], dtype=complex)
-    B = _jet_rows(want.reshape(-1, n) - [jt.value for jt in jets],
-                  want_jac.reshape(-1, n, n) - [jt.jacobian for jt in jets],
+    B = _jet_rows(want.reshape(-1, n) - jt.value,
+                  want_jac.reshape(-1, n, n) - jt.jacobian,
                   pinned)  # (rows, n); column i is component i's rhs
 
     if A.shape[0] > A.shape[1]:
@@ -243,9 +242,8 @@ def interpolate_correction(f, constraints, degree_budget, K,
     # conditioned interpolation (e.g. clustered points) the linear system
     # can be solved while the evaluated polynomial loses the constraints
     # to cancellation in its large coefficients
-    jets = [delta.jet(p) for p in pts]
-    got = _jet_rows(np.array([jt.value for jt in jets]),
-                    np.array([jt.jacobian for jt in jets]), pinned)
+    jt = delta.jet(pts)
+    got = _jet_rows(jt.value, jt.jacobian, pinned)
     viol = float((np.abs(got - B) / (1.0 + np.abs(B))).max())
     residual = max(residual, viol)
     if viol > 1e-8:
@@ -486,7 +484,7 @@ def hakim_experiment(dim, start, steps=10_000, shell_radius=0.05,
     o = orbit(f, start, steps, 10.0)
     if o.escaped:
         raise ValueError("start not in petal")
-    norms = np.abs(o.points).max(axis=-1)
+    norms = sup_norm(o.points)
     ks = np.arange(len(norms))
     scaled = ks[1:] * norms[1:]  # ~ constant for parabolic decay
 

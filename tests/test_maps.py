@@ -189,22 +189,74 @@ class TestJets:
             assert np.array_equal(it[i], f.iterate(pts[i], 3))
 
     def test_batch_rows_match_one_row_batches(self):
-        # a (1, n) batch goes through the same array loops as a (50, n)
-        # one; a bare (n,) point need not match in the last bit
+        # word for word at every public entry point: a bare (n,) point is
+        # a (1, n) batch, which goes through the same array loops as its
+        # row in a (k, n) batch, overflowing rows included
+        from endolab.orbits import orbit
+        from endolab.periodic import classify, eigenvalues
+
         rng = np.random.default_rng(8)
-        f = random_map(3, degree=8, rng=rng)
-        pts = 0.5 * (rng.normal(size=(50, 3)) + 1j * rng.normal(size=(50, 3)))
-        value = f.eval(pts)
-        jt = f.jet(pts)
-        for i in range(len(pts)):
-            assert np.array_equal(f.eval(pts[i:i + 1])[0], value[i])
-            one = f.jet(pts[i:i + 1])
-            assert np.array_equal(one.value[0], jt.value[i])
-            assert np.array_equal(one.jacobian[0], jt.jacobian[i])
+        eye = np.eye(3, dtype=complex)
+        maps = [random_map(n, degree=d, rng=rng)
+                for n in (1, 2, 3) for d in (1, 2, 3, 5, 8)]
+        maps += [PolyMap.entire_1d(EntireNode("exp")),
+                 PolyMap.entire_1d(EntireNode(
+                     "poly", (0.5, 1.0, 0.25j),
+                     EntireNode("sin", inner=EntireNode("exp"))))]
+        for f in maps:
+            n = f.n
+            pts = 0.5 * (rng.normal(size=(8, n))
+                         + 1j * rng.normal(size=(8, n)))
+            pts[0] = complex(-0.0, -0.0)
+            pts[6] = 1e200  # overflows at step 0
+            pts[7] = 1e40  # overflows at a later step from degree 2 on
+            for m, jacobian in ((1, False), (1, True), (3, eye[:n, :n])):
+                whole = map_kernel(f, pts, m, jacobian=jacobian)
+                for i, p in enumerate(pts):
+                    bare = map_kernel(f, p, m, jacobian=jacobian)
+                    one = map_kernel(f, pts[i:i + 1], m, jacobian=jacobian)
+                    for a, b, c in zip(whole, bare, one):
+                        if a is not None:
+                            assert np.array_equal(words(b), words(a[i]))
+                            assert np.array_equal(words(c[0]), words(a[i]))
+            good = map_kernel(f, pts, 3)[2] == 3
+            assert not good[6]
+            batch = pts[good]
+            value, jt = f.eval(batch), f.jet(batch)
+            it, it2 = f.iterated_jet(batch, 3), f.iterated_jet(batch, 2)
+            three = f.iterate(batch, 3)
+            for i, p in enumerate(batch):
+                for q, row in ((p, ...), (batch[i:i + 1], 0)):
+                    got = (f.eval(q), f.jet(q).value, f.jet(q).jacobian,
+                           f.iterated_jet(q, 3).value,
+                           f.iterated_jet(q, 3).jacobian, f.iterate(q, 3))
+                    want = (value, jt.value, jt.jacobian, it.value,
+                            it.jacobian, three)
+                    for a, b in zip(got, want):
+                        assert np.array_equal(words(a[row]), words(b[i]))
+                # classify reads one period's iterated jet at its base point
+                for cyc, ref in (([p], jt), ([p, value[i]], it2)):
+                    for base in (cyc[0], cyc[0][None]):
+                        c = classify(f, [base] + cyc[1:])
+                        want = eigenvalues(ref.jacobian[i])
+                        res = float(np.abs(ref.value[i] - p).max())
+                        assert np.array_equal(words(np.array(c.multipliers)),
+                                              words(want))
+                        assert np.array_equal(words(c.newton_residual),
+                                              words(res))
+            for i in np.flatnonzero(~good):
+                for q in (pts[i], pts[i:i + 1]):
+                    with pytest.raises(MapOverflowError):
+                        f.iterate(q, 3)
+            # an orbit steps its (1, n) row: step k is row i of f^k(pts)
+            iterates = [map_kernel(f, pts, k)[0] for k in range(4)]
+            for i, p in enumerate(pts):
+                for k, x in enumerate(orbit(f, p, 3, 1e100).points):
+                    assert np.array_equal(words(x), words(iterates[k][i]))
 
     def test_step_matches_per_term_loop(self):
         # word for word: the term table starts each term from a 0-d
-        # coefficient, so bare points keep their scalar-math bits too
+        # coefficient, which keeps the bits of np.full(batch, c)
         from endolab.perturb import monomials
 
         rng = np.random.default_rng(31)
@@ -326,6 +378,37 @@ class TestIterate:
         f = random_map(1)
         p = np.array([0.4 + 0.1j])
         assert np.allclose(f.iterate(p, 0), p)
+
+    def test_iterate_zero_is_a_new_array(self):
+        f = random_map(2, rng=np.random.default_rng(41))
+        q = np.array([0.4 + 0.1j, -0.2j])
+        for p in (q, q[None]):
+            r = f.iterate(p, 0)
+            assert r is not p and not np.shares_memory(r, p)
+            assert np.array_equal(words(r), words(p))
+            value, _, steps = map_kernel(f, p, 0)
+            assert not np.shares_memory(value, p) and (steps == 0).all()
+
+    def test_negative_m_is_rejected(self):
+        f = random_map(2, rng=np.random.default_rng(42))
+        p = np.array([0.4 + 0.1j, -0.2j])
+        for q in (p, p[None]):
+            with pytest.raises(ValueError, match="m must be >= 0"):
+                f.iterate(q, -3)
+            with pytest.raises(ValueError, match="m must be >= 0"):
+                map_kernel(f, q, -1, jacobian=True)
+
+    def test_zero_d_point_needs_a_1d_map(self):
+        rng = np.random.default_rng(43)
+        for n in (2, 3):
+            f = random_map(n, rng=rng)
+            with pytest.raises(ValueError, match=f"dimension {n}"):
+                f.eval(0.1)
+            with pytest.raises(ValueError, match=f"dimension {n}"):
+                map_kernel(f, np.complex128(0.1 + 0.2j))
+        f = random_map(1, rng=rng)
+        assert np.array_equal(words(f.eval(0.1)), words(f.eval([0.1])))
+        assert f.eval(0.1).shape == (1,)
 
 
 class TestRankCheck:
