@@ -20,7 +20,6 @@ from .periodic import (
     eigenvalues,
     find_periodic,
     hyperbolicity_report,
-    minimal_period,
 )
 from .orbits import Orbit, basin_test_B1, basin_test_B2prime, omega_limit, orbit, rne_probe
 from .julia import (

@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from .maps import PolyMap, Window, _step, sup_norm
-from .periodic import find_periodic
+from .periodic import _dedup, find_periodic
 
 
 @dataclass(frozen=True)
@@ -93,14 +93,7 @@ def dedup_points(pts, tol=1e-8):
     pts = np.asarray(pts, dtype=complex)
     pts = pts.reshape(-1, pts.shape[-1])
     pts = pts[np.lexsort(np.hstack([pts.real, pts.imag]).T[::-1])]
-    # points first[i]..i-1 are the ones within tol of point i on re p_1
-    lead = pts[:, 0].real
-    first = np.searchsorted(lead, lead - tol, side="right")
-    kept = np.zeros(len(pts), dtype=bool)
-    for i, j in enumerate(first):
-        near = pts[j:i][kept[j:i]]
-        kept[i] = not (sup_norm(near - pts[i]) < tol).any()
-    return pts[kept]
+    return _dedup(pts, np.zeros(len(pts)), tol)[0]  # ties keep the first
 
 
 def boundary_extract(grid):
@@ -182,24 +175,6 @@ def spread_probe(pmap, cellU, cellV, k_max, samples=256, R=None, seed=0):
             x = x[ok & ~(norm > R)]  # a point ends at overflow or past R
             if cellV.contains(x).any():
                 return k
-    return None
-
-
-def cycle_through(pmap, cellU, cellV, m_max, seeds=1024, tol=1e-10, seed=0,
-                  window=None):
-    """A repelling cycle with points in both cells, if the finder sees one."""
-    if window is None:
-        lo = np.minimum(cellU.lo, cellV.lo) - 1.0
-        hi = np.maximum(cellU.hi, cellV.hi) + 1.0
-        window = Window(bounds=tuple(zip(lo.tolist(), hi.tolist())))
-    cycles = find_periodic(pmap, m_max, window, seeds=seeds, tol=tol, seed=seed)
-    for c in cycles:
-        if c.klass != "repelling":
-            continue
-        inU = any(bool(cellU.contains(q)) for q in c.points)
-        inV = any(bool(cellV.contains(q)) for q in c.points)
-        if inU and inV:
-            return c
     return None
 
 

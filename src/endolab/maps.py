@@ -238,16 +238,18 @@ def map_kernel(pmap, p, m=1, jacobian=False):
     ``orbits`` and ``julia`` call ``_step``, which holds the finite-range
     rule, on their live points alone).  A bare (n,) point is a (1, n) batch,
     squeezed on return, so it has the bits of its row in any batch.
-    ``m`` >= 0, and m = 0 returns a copy of p.  It may be per point (>= 1,
-    non-increasing along an (S, n) batch): step k maps only the prefix
-    with m > k, so rows keep their int-m bits.
+    ``m`` >= 0; m = 0 returns a copy of p, and of T or the identity.  It
+    may be per point (>= 1, non-increasing along an (S, n) batch): step k
+    maps only the prefix with m > k, so rows keep their int-m bits.
     """
     p, bare = _as_points(p, pmap.n)
     m = np.asarray(m)
-    if (m < 0).any():
-        raise ValueError("m must be >= 0")
+    if (m < (1 if m.ndim else 0)).any():
+        raise ValueError("m must be >= 0, and >= 1 per point")
     steps = np.full(p.shape[:-1], m)
     jac = None
+    if jacobian is True and not m.any():  # f^0 is the identity
+        jacobian = np.eye(pmap.n, dtype=complex)
     if not isinstance(jacobian, bool):
         jac = np.broadcast_to(jacobian, p.shape + (pmap.n,)).copy()
     x = p if m.any() else p.copy()  # m = 0 must not hand back p itself

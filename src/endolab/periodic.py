@@ -38,13 +38,13 @@ class Cycle:
 
 
 def eigenvalues(M):
-    """Eigenvalues of an n x n complex matrix (n <= 3), |.| descending."""
+    """Eigenvalues of complex matrices (..., n, n), n <= 3, |.| descending."""
     M = np.asarray(M, dtype=complex)
-    if M.shape[0] > 3:
+    if M.shape[-1] > 3:
         raise ValueError("n <= 3 only")
     lam = np.linalg.eigvals(M)
-    order = np.lexsort((lam.real, -np.abs(lam)))
-    return lam[order]
+    order = np.lexsort((lam.real, -np.abs(lam)), axis=-1)
+    return np.take_along_axis(lam, order, axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -52,51 +52,40 @@ def eigenvalues(M):
 
 
 def classify_multipliers(multipliers, jacobian=None):
-    """Stability class from multiplier moduli with a declared unit margin."""
+    """Stability class from multiplier moduli with a declared unit margin;
+    a batch of multipliers (..., n) gives a list of classes."""
     mods = np.abs(np.asarray(multipliers, dtype=complex))
-    if jacobian is not None and np.abs(jacobian).max() < SUPER_TOL:
-        return "super_attracting"
-    if np.any(np.abs(mods - 1.0) <= UNIT_MARGIN):
-        return "non_hyperbolic"
-    if np.all(mods < 1.0):
-        return "attracting"
-    if np.all(mods > 1.0):
-        return "repelling"
-    return "saddle"
+    zero = (jacobian is not None
+            and np.abs(jacobian).max(axis=(-2, -1)) < SUPER_TOL)
+    klass = np.select([zero, (np.abs(mods - 1.0) <= UNIT_MARGIN).any(-1),
+                       (mods < 1.0).all(-1), (mods > 1.0).all(-1)],
+                      ["super_attracting", "non_hyperbolic", "attracting",
+                       "repelling"], "saddle")
+    return klass.tolist()
 
 
 def classify(pmap, points, residual=None):
     """Build a Cycle record from verified orbit points.
 
     ``points``: the full cycle, in orbit order; multipliers come from the
-    iterated Jacobian over one full period at points[0].
-    """
-    points = [np.asarray(p, dtype=complex).reshape(pmap.n) for p in points]
-    m = len(points)
-    jt = pmap.iterated_jet(points[0], m)
-    if residual is None:  # jt.value has the bits of iterate(points[0], m)
-        residual = float(np.abs(jt.value - points[0]).max())
+    iterated Jacobian over one full period at points[0], as a one-row
+    ``_cycle_records`` batch: the bits find_periodic gives the cycle."""
+    block = np.array([np.reshape(p, pmap.n) for p in points], dtype=complex)
+    return _cycle_records(pmap, block[None], residual)[0]
+
+
+def _cycle_records(pmap, block, residual):
+    """Records of k cycles of period m, block (k, m, n) in orbit order, from
+    one iterated jet at the base points block[:, 0] and one eigvals."""
+    base = block[:, 0]
+    jt = pmap.iterated_jet(base, block.shape[1])
+    if residual is None:  # jt.value has the bits of iterate(base, m)
+        residual = sup_norm(jt.value - base)
     lam = eigenvalues(jt.jacobian)
     klass = classify_multipliers(lam, jacobian=jt.jacobian)
-    transverse = bool(np.all(np.abs(lam - 1.0) > UNIT_MARGIN))
-    return Cycle(
-        points=tuple(points),
-        multipliers=tuple(lam),
-        klass=klass,
-        transverse=transverse,
-        newton_residual=residual,
-    )
-
-
-def minimal_period(pmap, p, m, tol):
-    """Smallest divisor d of m with ||f^d(p) - p|| < tol."""
-    p = np.asarray(p, dtype=complex).reshape(pmap.n)
-    if float(np.abs(pmap.iterate(p, m) - p).max()) >= tol:
-        raise ValueError("not periodic at tolerance")
-    for d in sorted(k for k in range(1, m + 1) if m % k == 0):
-        if float(np.abs(pmap.iterate(p, d) - p).max()) < tol:
-            return d
-    return m
+    transverse = (np.abs(lam - 1.0) > UNIT_MARGIN).all(axis=-1)
+    return [Cycle(tuple(p), tuple(mu), c, bool(t), float(r)) for p, mu, c, t, r
+            in zip(block, lam, klass, transverse, np.reshape(residual, -1))]
 
 
 # ---------------------------------------------------------------------------
@@ -181,8 +170,8 @@ def find_periodic(pmap, m_max, window, seeds=1024, tol=1e-10, seed=0):
     window, sorted by period then lexicographically by base point.
 
     One Newton batch holds every period's seeds, highest period first, so
-    the seeds still stepping are a prefix (``map_kernel``).  Roots are then
-    listed by period, then seed: the dedup keeps the first rep in reach."""
+    the seeds still stepping are a prefix (``map_kernel``).  The roots go
+    to ``_collect_cycles`` listed by period, then seed."""
     if m_max < 1 or seeds < 1:
         raise ValueError("m_max and seeds must be >= 1")
     # a root accepted at residual tol is resolved only to about tol: above
@@ -192,31 +181,25 @@ def find_periodic(pmap, m_max, window, seeds=1024, tol=1e-10, seed=0):
     m = np.repeat(np.arange(1, m_max + 1), seeds)[::-1]
     x0 = np.concatenate([window.sample(seeds, seed=seed + k)
                          for k in range(1, m_max + 1)])[::-1]
-    pts, res = _newton_batch(pmap, x0, m, tol)
-    roots = [(p, float(r)) for p, r in zip(pts[::-1], res[::-1]) if r < tol]
-    return _collect_cycles(pmap, roots, m_max, window, tol)
+    pts, res = (a[::-1] for a in _newton_batch(pmap, x0, m, tol))
+    return _collect_cycles(pmap, pts[res < tol], res[res < tol], m_max,
+                           window, tol)
 
 
-def _collect_cycles(pmap, roots, m_max, window, tol):
-    # dedup at DEDUP_TOL in sup-norm: a root joins the first rep within
-    # reach, which keeps the point of lower residual; the rep order decides
-    # which point starts each cycle
-    reps = np.empty((len(roots), pmap.n), dtype=complex)
-    resid = np.empty(len(roots))
-    count = 0
-    for p, r in roots:
-        hit = np.flatnonzero(sup_norm(reps[:count] - p) < DEDUP_TOL)
-        if hit.size == 0:
-            reps[count], resid[count] = p, r
-            count += 1
-        elif r < resid[hit[0]]:
-            reps[hit[0]], resid[hit[0]] = p, r
-    reps, resid = reps[:count], resid[:count]
+def _collect_cycles(pmap, points, resid, m_max, window, tol):
+    """Cycles from roots (N, n) with residuals (N,), in root order.
+
+    The roots are deduped (``_dedup``); one batched orbit gives each rep's
+    minimal period.  In rep order, a rep whose orbit meets the window
+    starts a cycle unless an earlier cycle passed within 10 DEDUP_TOL of
+    it; a rep whose orbit misses the window marks nothing.  Per period, the
+    cycles are rolled to their base points and classified in one batch."""
+    reps, resid = _dedup(points, resid, DEDUP_TOL)
 
     # orbit[k] = f^k(reps); a rep's period is the first k <= m_max at which
     # its orbit returns, which is minimal: no smaller k passed the test
     orbit = [reps]
-    ok = np.ones(count, dtype=bool)
+    ok = np.ones(len(reps), dtype=bool)
     for _ in range(m_max):
         x, _, steps = map_kernel(pmap, orbit[-1])
         ok &= steps == 1
@@ -226,31 +209,70 @@ def _collect_cycles(pmap, roots, m_max, window, tol):
         gap = sup_norm(orbit[1:] - reps)
     back = ok & (gap < max(tol, DEDUP_TOL))
     period = np.where(back.any(axis=0), back.argmax(axis=0) + 1, 0)
+    inside = window.contains(orbit[:-1]) & (np.arange(m_max)[:, None] < period)
 
-    cycles = []
-    used = np.zeros(count, dtype=bool)
-    for i in np.flatnonzero(period):
-        if used[i]:
-            continue
-        cyc = orbit[:period[i], i].copy()
-        inside = window.contains(cyc)
-        if not inside.any():
-            continue
-        # base point: lexicographically smallest orbit point inside window
-        base = min(cyc[inside], key=_lex_key)
-        k = np.flatnonzero(sup_norm(cyc - base) < DEDUP_TOL)[0]
-        cyc = np.roll(cyc, -k, axis=0)
-        near = sup_norm(reps[:, None, :] - cyc[None, :, :])
-        used |= (near < 10 * DEDUP_TOL).any(axis=1)
-        cycles.append(classify(pmap, list(cyc), residual=float(resid[i])))
-    cycles.sort(key=lambda c: (c.period, _lex_key(c.points[0])))
+    starts, used = [], np.zeros(len(reps), dtype=bool)
+    for i in np.flatnonzero(inside.any(axis=0)):
+        if not used[i]:
+            near = sup_norm(reps[:, None, :] - orbit[:period[i], i])
+            used |= (near < 10 * DEDUP_TOL).any(axis=1)
+            starts.append(i)
+    starts, cycles = np.array(starts, dtype=np.intp), []
+    for m in np.unique(period[starts]):
+        s = starts[period[starts] == m]
+        block = orbit[:m, s].swapaxes(0, 1)  # (k, m, n)
+        keys = np.round(np.concatenate([block.real, block.imag], axis=-1), 9)
+        # base point: the orbit point inside the window of least key, the
+        # first on a tie; the cycle starts at the first point near it
+        low = inside[:m, s].T
+        for key in np.moveaxis(keys, -1, 0):
+            low &= key == np.where(low, key, np.inf).min(1, keepdims=True)
+        rows = np.arange(len(s))[:, None]
+        base = block[rows, low.argmax(axis=1)[:, None]]
+        shift = (sup_norm(block - base) < DEDUP_TOL).argmax(axis=1)
+        block = block[rows, (np.arange(m) + shift[:, None]) % m]
+        order = np.lexsort(keys[rows[:, 0], shift].T[::-1])  # stable
+        cycles += _cycle_records(pmap, block[order], resid[s[order]])
     return cycles
 
 
-def _lex_key(p):
-    p = np.asarray(p, dtype=complex).ravel()
-    return tuple(np.round(v, 9) for v in
-                 np.concatenate([p.real, p.imag]))
+def _dedup(points, resid, tol):
+    """First-hit dedup at tol in sup-norm, as one pass over the points in
+    order runs it: a point joins the first rep within reach, which keeps
+    the point of lower residual (the first on a tie), and a point in reach
+    of no rep opens one.  Returns (reps, resid) in the order they opened.
+
+    Points within reach are linked, and linked groups never meet under the
+    rule, so it runs per group.  Sorting on each real coordinate in turn
+    and cutting at gaps above 2 tol splits the points into runs of whole
+    groups.  In a run whose box is under tol / 2 wide in each coordinate,
+    all points are in reach of each other: its first point opens the rep,
+    which keeps the run's lowest residual.  Every other run takes the pass
+    over its own points.  No pairs of points are built."""
+    reals = np.concatenate([points.real, points.imag], axis=1)
+    run = np.zeros(len(points), dtype=np.intp)
+    for axis in reals.T:
+        order = np.lexsort((axis, run))
+        cut = np.diff(axis[order], prepend=-np.inf) > 2 * tol
+        run[order] = np.cumsum(cut | (np.diff(run[order], prepend=-1) != 0))
+    order = np.lexsort((resid, run))  # stable: the first point on a tie
+    at = np.flatnonzero(np.diff(run[order], prepend=-1))
+    width = (np.maximum.reduceat(reals[order], at)
+             - np.minimum.reduceat(reals[order], at))
+    one = (np.hypot(*np.split(width, 2, axis=1)) < tol / 2).all(axis=1)
+    opened, kept = list(np.minimum.reduceat(order, at)[one]), []
+    for a, size in zip(at[~one], np.diff(at, append=len(points))[~one]):
+        mine = []  # the point each rep of this run keeps, by opening
+        for i in np.sort(order[a:a + size]):
+            hit = np.flatnonzero(sup_norm(points[mine] - points[i]) < tol)
+            if hit.size == 0:
+                opened.append(i)
+                mine.append(i)
+            elif resid[i] < resid[mine[hit[0]]]:
+                mine[hit[0]] = i
+        kept += mine
+    kept = np.r_[order[at[one]], kept].astype(np.intp)[np.argsort(opened)]
+    return points[kept], resid[kept]
 
 
 # ---------------------------------------------------------------------------

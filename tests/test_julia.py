@@ -14,7 +14,6 @@ from endolab import (
 from endolab.maps import map_kernel
 from endolab.julia import (
     PointCloud,
-    cycle_through,
     dedup_points,
     directed_distance,
     grid_to_pgm,
@@ -229,15 +228,6 @@ class TestProbes:
         u = Window(bounds=((-0.1, 0.1), (-0.1, 0.1)))
         v = Window(bounds=((2.9, 3.1), (-0.1, 0.1)))
         assert spread_probe(Z2, u, v, 15, samples=128, R=4.0, seed=0) is None
-
-    def test_cycle_through_cells_on_circle(self):
-        u = Window(bounds=((0.9, 1.1), (-0.1, 0.1)))
-        v = Window(bounds=((-1.1, -0.9), (-0.3, 0.3)))
-        c = cycle_through(Z2, u, v, 6, seeds=4096, seed=0)
-        assert c is not None and c.klass == "repelling"
-        inU = any(bool(u.contains(q)) for q in c.points)
-        inV = any(bool(v.contains(q)) for q in c.points)
-        assert inU and inV
 
 
 class TestPGM:

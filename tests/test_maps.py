@@ -398,6 +398,28 @@ class TestIterate:
             with pytest.raises(ValueError, match="m must be >= 0"):
                 map_kernel(f, q, -1, jacobian=True)
 
+    def test_per_point_m_must_be_positive(self):
+        # a per-point 0 once dropped rows: [1, 0] on two rows gave one
+        f = PolyMap.from_coeffs_1d([-1, 0, 1])
+        p = np.array([[0.5 + 0j], [0.3 + 0j]])
+        for m in ([1, 0], [0, 0]):
+            for jacobian in (False, True):
+                with pytest.raises(ValueError, match=">= 1 per point"):
+                    map_kernel(f, p, np.array(m), jacobian=jacobian)
+        assert map_kernel(f, p, np.array([2, 1]))[0].shape == (2, 1)
+
+    def test_zero_steps_give_the_identity_jacobian(self):
+        f = random_map(2, rng=np.random.default_rng(44))
+        q = np.array([[0.4 + 0.1j, -0.2j], [0.1, 0.3 + 0.3j]])
+        eye = np.eye(2, dtype=complex)
+        for p, shape in ((q, (2, 2, 2)), (q[0], (2, 2))):
+            value, jac, steps = map_kernel(f, p, 0, jacobian=True)
+            assert np.array_equal(words(value), words(p))
+            assert jac.shape == shape and np.array_equal(
+                words(jac), words(np.broadcast_to(eye, shape)))
+            seed = map_kernel(f, p, 0, jacobian=2 * eye)[1]
+            assert np.array_equal(seed, 2 * jac)
+
     def test_zero_d_point_needs_a_1d_map(self):
         rng = np.random.default_rng(43)
         for n in (2, 3):

@@ -11,14 +11,17 @@ from endolab import (
     eigenvalues,
     find_periodic,
 )
+from endolab.maps import map_kernel, sup_norm
 from endolab.periodic import (
     DEDUP_TOL,
+    SUPER_TOL,
+    UNIT_MARGIN,
+    Cycle,
     _collect_cycles,
     _newton_batch,
     classify_multipliers,
     cycles_to_csv,
     hyperbolicity_report,
-    minimal_period,
 )
 
 Z2 = PolyMap.from_coeffs_1d([0, 0, 1])
@@ -177,8 +180,8 @@ class TestJointNewtonBatch:
                   for m in range(1, m_max + 1)]
         # find_periodic's cycles, word for word
         pts, res = per_period_newton(f, blocks, tol)
-        roots = [(p, float(r)) for p, r in zip(pts, res) if r < tol]
-        want = _collect_cycles(f, roots, m_max, window, tol)
+        want = _collect_cycles(f, pts[res < tol], res[res < tol], m_max,
+                               window, tol)
         got = find_periodic(f, m_max, window, seeds=seeds, tol=tol,
                             seed=seed)
         assert len(got) > 0 and cycle_words(got) == cycle_words(want)
@@ -215,6 +218,155 @@ class TestJointNewtonBatch:
         assert (res < 1e-10).sum() > 96
 
 
+def lex_key(p):
+    p = np.asarray(p, dtype=complex).ravel()
+    return tuple(np.round(v, 9) for v in np.concatenate([p.real, p.imag]))
+
+
+def sequential_classify(pmap, cyc, residual):
+    """One cycle's record from its own iterated jet, one eigvals call and
+    the class rules in their first-match order."""
+    jac = pmap.iterated_jet(cyc[0], len(cyc)).jacobian
+    lam = np.linalg.eigvals(jac)
+    lam = lam[np.lexsort((lam.real, -np.abs(lam)))]
+    mods = np.abs(lam)
+    if np.abs(jac).max() < SUPER_TOL:
+        klass = "super_attracting"
+    elif np.any(np.abs(mods - 1.0) <= UNIT_MARGIN):
+        klass = "non_hyperbolic"
+    elif np.all(mods < 1.0):
+        klass = "attracting"
+    elif np.all(mods > 1.0):
+        klass = "repelling"
+    else:
+        klass = "saddle"
+    return Cycle(points=tuple(cyc), multipliers=tuple(lam), klass=klass,
+                 transverse=bool(np.all(np.abs(lam - 1.0) > UNIT_MARGIN)),
+                 newton_residual=residual)
+
+
+def sequential_collect_cycles(pmap, points, resid, m_max, window, tol):
+    """_collect_cycles as one pass per root, one base-point search and one
+    classify per cycle: the loop find_periodic ran before it batched them."""
+    reps = np.empty((len(points), pmap.n), dtype=complex)
+    kept = np.empty(len(points))
+    count = 0
+    for p, r in zip(points, resid):
+        hit = np.flatnonzero(sup_norm(reps[:count] - p) < DEDUP_TOL)
+        if hit.size == 0:
+            reps[count], kept[count] = p, r
+            count += 1
+        elif r < kept[hit[0]]:
+            reps[hit[0]], kept[hit[0]] = p, r
+    reps, kept = reps[:count], kept[:count]
+    orbit = [reps]
+    ok = np.ones(count, dtype=bool)
+    for _ in range(m_max):
+        x, _, steps = map_kernel(pmap, orbit[-1])
+        ok &= steps == 1
+        orbit.append(x)
+    orbit = np.stack(orbit)
+    with np.errstate(over="ignore", invalid="ignore"):
+        gap = sup_norm(orbit[1:] - reps)
+    back = ok & (gap < max(tol, DEDUP_TOL))
+    period = np.where(back.any(axis=0), back.argmax(axis=0) + 1, 0)
+    cycles = []
+    used = np.zeros(count, dtype=bool)
+    for i in np.flatnonzero(period):
+        if used[i]:
+            continue
+        cyc = orbit[:period[i], i].copy()
+        inside = window.contains(cyc)
+        if not inside.any():
+            continue
+        base = min(cyc[inside], key=lex_key)
+        k = np.flatnonzero(sup_norm(cyc - base) < DEDUP_TOL)[0]
+        cyc = np.roll(cyc, -k, axis=0)
+        near = sup_norm(reps[:, None, :] - cyc[None, :, :])
+        used |= (near < 10 * DEDUP_TOL).any(axis=1)
+        cycles.append(sequential_classify(pmap, cyc, float(kept[i])))
+    cycles.sort(key=lambda c: (c.period, lex_key(c.points[0])))
+    return cycles
+
+
+PARABOLIC = PolyMap.from_coeffs_1d([0, 1, 1])  # z + z^2
+QUARTER = PolyMap.from_coeffs_1d([0.25, 0, 1])  # z^2 + 1/4
+REAL_CASES = {name: JOINT_CASES[name][:2]
+              for name in ("z2", "basilica", "cubic", "tri2", "tri3")}
+REAL_CASES.update(parabolic=(PARABOLIC, W2), quarter=(QUARTER, W2))
+IDENTITY = PolyMap.from_coeffs_1d([0, 1])  # every point is fixed
+IDENTITY2 = PolyMap.from_terms(2, [[((1, 0), 1)], [((0, 1), 1)]])
+D = DEDUP_TOL
+CHAIN = [0.9 * D * k for k in range(25)]  # 0.9 DEDUP_TOL apart
+SYNTHETIC = {  # name -> (map, roots, residuals, cycles)
+    # along a chain of roots, each within reach of the next only, a root
+    # joins the rep behind it or opens one two links on; 13 reps 1.8
+    # DEDUP_TOL apart give 3 cycles, 10 DEDUP_TOL being the cycle's reach
+    "chain": (IDENTITY, [0.3 + x for x in CHAIN], np.arange(1, 26) * 1e-12,
+              3),
+    # falling residuals: the rep moves down the chain, root by root
+    "chain_moved": (IDENTITY, [0.3 + x for x in CHAIN],
+                    np.arange(25, 0, -1) * 1e-12, 1),
+    # in C^2 the roots agree in z_1 and chain in z_2
+    "chain_2d": (IDENTITY2, [[0.1, 0.2 + 1j * x] for x in CHAIN],
+                 np.arange(1, 26) * 1e-12, 3),
+    # equal residuals: the first root keeps the rep, in a group where all
+    # roots are in reach of each other and in a chain
+    "ties": (IDENTITY, [0.5, 0.5 + 1e-12, 0.5 - 1e-12, 0.5 + 2e-12j,
+                        0.7, 0.7 + 0.6 * D, 0.7 + 0.6 * D + 1e-13,
+                        0.7 + 1.2 * D],
+             [2e-11, 1e-11, 1e-11, 1e-11, 2e-11, 1e-11, 1e-11, 3e-11], 2),
+    # the rep just outside the window comes first and marks nothing, so
+    # the later one inside, 5 DEDUP_TOL away, starts the cycle
+    "outside_first": (IDENTITY, [-2 - 3 * D, 1.5, -2 + 2 * D],
+                      [1e-11, 1e-11, 1e-11], 2),
+    # conjugate pairs share their real parts; pairs closer than
+    # DEDUP_TOL merge, by the box test (0.4 DEDUP_TOL apart) or by the
+    # pass (0.6 apart), and those 1.2 apart do not
+    "conjugates": (IDENTITY,
+                   [0.2 + 0.3j, 0.2 - 0.3j, 0.2 + 0.3j + 1e-13,
+                    0.2 - 0.3j - 1e-13j, 0.6 + 0.2j * D, 0.6 - 0.2j * D,
+                    -0.4 + 0.3j * D, -0.4 - 0.3j * D, 0.9 + 0.6j * D,
+                    0.9 - 0.6j * D],
+                   [3e-11, 3e-11, 1e-11, 2e-11, 1e-11, 1e-11, 2e-11, 1e-11,
+                    1e-11, 1e-11], 5),
+}
+
+
+class TestCollectCycles:
+    """The batched dedup, base points and classify against the sequential
+    pass, word for word."""
+
+    @pytest.mark.parametrize("name", sorted(REAL_CASES))
+    def test_real_roots_match_sequential(self, name):
+        # real maps give conjugate pairs; the parabolic ones give roots
+        # strewn about their multiple fixed points
+        f, window = REAL_CASES[name]
+        tol, seeds, m_max = 1e-10, 256, 4
+        blocks = [window.sample(seeds, seed=7 + m)
+                  for m in range(1, m_max + 1)]
+        pts, res = joint_newton(f, blocks, tol)
+        pts, res = pts[res < tol], res[res < tol]
+        got = _collect_cycles(f, pts, res, m_max, window, tol)
+        want = sequential_collect_cycles(f, pts, res, m_max, window, tol)
+        assert len(got) > 0 and cycle_words(got) == cycle_words(want)
+        assert [type(c.klass) for c in got] == [str] * len(got)
+
+    @pytest.mark.parametrize("name", sorted(SYNTHETIC))
+    def test_synthetic_roots_match_sequential(self, name):
+        f, roots, resid, count = SYNTHETIC[name]
+        window = Window.square(f.n, -2, 2)
+        pts = np.array(roots, dtype=complex).reshape(-1, f.n)
+        resid = np.array(resid, dtype=float)
+        got = _collect_cycles(f, pts, resid, 1, window, 1e-10)
+        want = sequential_collect_cycles(f, pts, resid, 1, window, 1e-10)
+        assert len(got) == count and cycle_words(got) == cycle_words(want)
+
+    def test_no_roots_no_cycles(self):
+        none = np.empty((0, 1), dtype=complex)
+        assert _collect_cycles(Z2, none, np.empty(0), 3, W2, 1e-10) == []
+
+
 class TestClassification:
     def test_kinds(self):
         assert classify_multipliers((0.5 + 0j,)) == "attracting"
@@ -225,6 +377,9 @@ class TestClassification:
             (0.0 + 0j,), jacobian=np.zeros((1, 1))) == "super_attracting"
         # without the Jacobian, zero eigenvalues alone are just attracting
         assert classify_multipliers((0.0 + 0j,)) == "attracting"
+        # a batch of rows gets one class per row
+        assert classify_multipliers([[0.5], [2.0], [1.0]], jacobian=np.ones(
+            (3, 1, 1))) == ["attracting", "repelling", "non_hyperbolic"]
 
     def test_super_attracting_needs_zero_jacobian(self):
         # eigenvalues both zero but Jacobian nilpotent non-zero: attracting
@@ -247,16 +402,6 @@ class TestClassification:
         c = classify(f, [np.array([0j])])
         assert c.klass == "non_hyperbolic"
         assert not c.transverse
-
-
-class TestMinimalPeriod:
-    def test_period_collapse(self):
-        # fixed point 1 of z^2 seen as a "period 4" orbit collapses to 1
-        assert minimal_period(Z2, np.array([1.0 + 0j]), 4, 1e-9) == 1
-
-    def test_genuine_period(self):
-        p = np.array([0j])
-        assert minimal_period(BASILICA, p, 2, 1e-9) == 2
 
 
 class TestFindPeriodic:
