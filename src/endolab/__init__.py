@@ -12,16 +12,14 @@ from .maps import (
     PolyMap,
     Window,
     escape_radius,
-    rank_check,
 )
 from .periodic import (
     Cycle,
     classify,
     eigenvalues,
     find_periodic,
-    hyperbolicity_report,
 )
-from .orbits import Orbit, basin_test_B1, basin_test_B2prime, omega_limit, orbit, rne_probe
+from .orbits import Orbit, orbit
 from .julia import (
     EscapeGrid,
     PointCloud,

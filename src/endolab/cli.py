@@ -24,7 +24,7 @@ import numpy as np
 
 from . import __version__
 from .maps import PolyMap, Window, escape_radius
-from . import conley, julia, orbits, periodic, perturb, reporting
+from . import conley, julia, periodic, perturb, reporting
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -127,24 +127,21 @@ def cmd_periodic(args):
     if tol > periodic.DEDUP_TOL:  # find_periodic says why
         raise ConfigError(f"tol must be at most {periodic.DEDUP_TOL:g}")
     out = _outdir(args)
-    rep = periodic.hyperbolicity_report(
+    cycles = periodic.find_periodic(
         f, m_max, window, seeds=seeds, tol=tol, seed=int(cfg["seed"])
     )
-    cycles = rep["cycles"]
     reporting.write_csv(os.path.join(out, "cycles.csv"),
                         periodic.cycles_to_csv(cycles, f.n), cfg)
     counts = {}
     for c in cycles:
         counts[c.klass] = counts.get(c.klass, 0) + 1
+    hyperbolic = sum(c.klass != "non_hyperbolic" for c in cycles)
     reporting.write_json(os.path.join(out, "summary.json"), {
         "cycle_count": len(cycles),
         "by_class": counts,
-        "all_hyperbolic": rep["all_hyperbolic"],
-        "all_transverse": rep["all_transverse"],
-        "fraction_hyperbolic": (
-            sum(c.klass != "non_hyperbolic" for c in cycles) / len(cycles)
-            if cycles else 1.0
-        ),
+        "all_hyperbolic": hyperbolic == len(cycles),
+        "all_transverse": all(c.transverse for c in cycles),
+        "fraction_hyperbolic": hyperbolic / len(cycles) if cycles else 1.0,
         "seed": cfg["seed"],
     }, cfg)
     return EXIT_OK

@@ -335,11 +335,6 @@ def lyapunov(mg):
     return mg
 
 
-def box_lyapunov(mg):
-    L = mg.lyapunov[mg.class_of].tolist()
-    return dict(zip(list(range(len(L) - 1)) + [INFINITY], L))
-
-
 # ---------------------------------------------------------------------------
 # attractors and basins
 

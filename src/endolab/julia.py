@@ -1,5 +1,5 @@
 """Julia-set approximants along independent characterizations, plus
-agreement metrics and chaos probes.
+agreement metrics.
 
 Grids classify by cell centers only; every statement is at a declared
 resolution.  For n >= 2 an escape grid covers the plane of the first
@@ -10,11 +10,10 @@ from __future__ import annotations
 
 import io
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
-from .maps import PolyMap, Window, _step, sup_norm
+from .maps import Window, _step, sup_norm
 from .periodic import _dedup, find_periodic
 
 
@@ -157,51 +156,6 @@ def cloud_to_csv(cloud, n):
         buf.write(",".join(f"{v:.12g}" for z in p for v in (z.real, z.imag)))
         buf.write("\n")
     return buf.getvalue()
-
-
-# ---------------------------------------------------------------------------
-# probes
-
-
-def spread_probe(pmap, cellU, cellV, k_max, samples=256, R=None, seed=0):
-    """Smallest k <= k_max with f^k(sample of U) meeting V, else None."""
-    x = np.concatenate([cellU.sample(samples, seed=seed),
-                        cellU.grid_centers(2)])
-    if R is None:
-        R = 1e6
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(1, k_max + 1):
-            x, _, norm, ok = _step(pmap, x, False)
-            x = x[ok & ~(norm > R)]  # a point ends at overflow or past R
-            if cellV.contains(x).any():
-                return k
-    return None
-
-
-def inverse_iteration_cloud(pmap, depth=12, keep_last=8, seed=0):
-    """Classical 1-D cross-check: random backward orbits of a polynomial.
-
-    Pulls a generic start back through random preimages (roots of
-    f(z) = w from NumPy's companion-matrix `polyroots`) and keeps the tail.
-    """
-    if pmap.n != 1 or not pmap.is_polynomial():
-        raise ValueError("inverse iteration is for 1-D polynomial maps")
-    deg = pmap.degree()
-    coeffs = np.zeros(deg + 1, dtype=complex)
-    for exps, c in pmap.components[0]:
-        coeffs[exps[0]] = c
-    rng = np.random.default_rng(seed)
-    w = complex(2.0 + 0.5j)
-    pts = []
-    for k in range(depth):
-        shifted = coeffs.copy()
-        shifted[0] -= w
-        roots = np.polynomial.polynomial.polyroots(shifted)
-        w = complex(roots[rng.integers(len(roots))])
-        if k >= depth - keep_last:
-            pts.extend(complex(r) for r in roots)
-    arr = np.array(pts, dtype=complex).reshape(-1, 1)
-    return PointCloud(points=dedup_points(arr), tag="inverse_iteration")
 
 
 # ---------------------------------------------------------------------------

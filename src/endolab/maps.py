@@ -239,13 +239,18 @@ def map_kernel(pmap, p, m=1, jacobian=False):
     rule, on their live points alone).  A bare (n,) point is a (1, n) batch,
     squeezed on return, so it has the bits of its row in any batch.
     ``m`` >= 0; m = 0 returns a copy of p, and of T or the identity.  It
-    may be per point (>= 1, non-increasing along an (S, n) batch): step k
-    maps only the prefix with m > k, so rows keep their int-m bits.
+    may be per point (>= 1, non-increasing along an (S, n) batch, else
+    ValueError): step k maps only the prefix with m > k, so rows keep
+    their int-m bits.
     """
     p, bare = _as_points(p, pmap.n)
     m = np.asarray(m)
     if (m < (1 if m.ndim else 0)).any():
         raise ValueError("m must be >= 0, and >= 1 per point")
+    if m.ndim and (m.shape != (len(p),) or p.ndim != 2
+                   or (m[1:] > m[:-1]).any()):
+        raise ValueError("a per-point m must be non-increasing, one per row "
+                         "of an (S, n) batch")
     steps = np.full(p.shape[:-1], m)
     jac = None
     if jacobian is True and not m.any():  # f^0 is the identity
@@ -375,17 +380,7 @@ def _entire_from_json(d):
 
 
 # ---------------------------------------------------------------------------
-# rank and escape bounds
-
-
-def rank_check(pmap, p):
-    """Numerical Jacobian rank (singular values above 1e-10 * sigma_max)."""
-    jac = pmap.jet(p).jacobian
-    sv = np.linalg.svd(jac, compute_uv=False)
-    smax = sv.max() if sv.size else 0.0
-    if smax == 0.0:
-        return 0
-    return int(np.sum(sv > 1e-10 * smax))
+# escape bounds
 
 
 def escape_radius(pmap):

@@ -1,25 +1,20 @@
-"""Orbit iteration, escape detection, omega-limits, basin membership tests
-and a sampling proxy for robust non-expulsion.
+"""Orbit iteration with escape detection, and a batched basin predicate.
 
-The open-condition notions (basins, robust non-expulsion) are realized as
-finite sampling probes with declared sample counts: a "true" answer is
-evidence at the sampled points, never a proof.
+Basin membership, an open condition, is tested at the given points to a
+declared horizon: a "true" answer is evidence at those points, never a
+proof.
 """
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .julia import dedup_points
-from .maps import _step, escape_radius, map_kernel, sup_norm
+from .maps import _step, escape_radius, sup_norm
 
 N_MAX_DEFAULT = 2000
-BURN_IN_DEFAULT = 500
-SAMPLES_DEFAULT = 500
 SHELL_POINTS = 16  # per dimension pair, plus the center
 
 
@@ -56,64 +51,6 @@ def orbit(pmap, p, n_max, R):
     return Orbit(points=np.concatenate(pts), escaped=True, escape_index=k)
 
 
-def orbit_to_csv(o):
-    buf = io.StringIO()
-    n = o.points.shape[1]
-    buf.write("k," + ",".join(f"re_{i+1},im_{i+1}" for i in range(n)) + "\n")
-    for k, p in enumerate(o.points):
-        row = [str(k)] + [f"{v:.12g}" for z in p for v in (z.real, z.imag)]
-        buf.write(",".join(row) + "\n")
-    return buf.getvalue()
-
-
-def omega_limit(pmap, p, R, burn_in=BURN_IN_DEFAULT, samples=SAMPLES_DEFAULT,
-                cluster_tol=1e-3):
-    """Cluster representatives of the orbit tail, in sorted order.
-
-    Dedup at cluster_tol in sup-norm (julia.dedup_points); raises if the
-    orbit escapes before the sampling window completes.
-    """
-    o = orbit(pmap, p, burn_in + samples, R)
-    if o.escaped:
-        raise ValueError("orbit escaped")
-    return list(dedup_points(o.points[burn_in:], tol=cluster_tol))
-
-
-# ---------------------------------------------------------------------------
-# basin tests (the four-way basin lemma, realized as two sampled probes)
-
-
-def basin_test_B1(pmap, cycle, p, n_max=N_MAX_DEFAULT, tol=1e-6, R=None):
-    """basin_mask at the single point p."""
-    p = np.asarray(p, dtype=complex).reshape(1, pmap.n)
-    return bool(basin_mask(pmap, cycle, p, n_max=n_max, tol=tol, R=R)[0])
-
-
-def basin_test_B2prime(pmap, cycle, p, radius, n_max=N_MAX_DEFAULT, tol=1e-6,
-                       R=None):
-    """Uniform version: all points of a shell around p must enter the
-    tol-neighbourhood of the cycle set by the horizon, simultaneously."""
-    if cycle.klass not in ("attracting", "super_attracting"):
-        raise ValueError("cycle must be attracting")
-    p = np.asarray(p, dtype=complex).reshape(pmap.n)
-    if R is None:
-        R = _default_radius(pmap, cycle)
-    x = shell_points(p, radius, pmap.n)
-    cyc = np.array([np.asarray(q).reshape(pmap.n) for q in cycle.points])
-    entered = np.zeros(len(x), dtype=bool)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(n_max):
-            x, _, norm, ok = _step(pmap, x, False)
-            if not ok.all() or (norm > R).any():
-                return False
-            d = sup_norm(x[:, None, :] - cyc[None, :, :]).min(axis=-1)
-            entered |= d < tol
-            if entered.all():
-                # trapped: attracting cycles do not release a tol-neighbourhood
-                return True
-    return False
-
-
 def _default_radius(pmap, cycle):
     try:
         R = escape_radius(pmap)
@@ -139,11 +76,11 @@ def shell_points(center, radius, n, per_pair=SHELL_POINTS):
 
 
 # ---------------------------------------------------------------------------
-# vectorized basin mask (basin_test_B1 is this at one point)
+# basin membership
 
 
 def basin_mask(pmap, cycle, points, n_max=N_MAX_DEFAULT, tol=1e-6, R=None):
-    """The B1 predicate at many points at once; returns a bool array.
+    """Which points lie in the cycle's basin, by their orbits; a bool array.
 
     A point passes iff its subsampled orbit f^{mk}(p) enters and stays
     within tol of a single cycle point through the horizon, never
@@ -176,39 +113,3 @@ def basin_mask(pmap, cycle, points, n_max=N_MAX_DEFAULT, tol=1e-6, R=None):
             if dead.any():
                 live, x, locked = live[~dead], x[~dead], locked[~dead]
     return np.isin(np.arange(len(pts)), live[locked >= 0])
-
-
-# ---------------------------------------------------------------------------
-# robust non-expulsion probe
-
-
-def rne_probe(pmap, p, nbhd_radius, K, pert_count=8, pert_eps=1e-3,
-              horizon=N_MAX_DEFAULT, seed=0):
-    """Sampling proxy for robust non-expulsion of p.
-
-    Perturbs the map pert_count times (coefficient noise with sampled
-    sup-norm <= pert_eps on K) and iterates a shell of starts around p
-    under each; true iff every sampled orbit stays inside K through the
-    horizon.  True is evidence, not proof.
-    """
-    from .perturb import random_perturbation
-
-    p = np.asarray(p, dtype=complex).reshape(pmap.n)
-    if not bool(K.contains(p)):
-        raise ValueError("p must lie in K")
-    starts = shell_points(p, nbhd_radius, pmap.n)
-    maps = [pmap] + [
-        random_perturbation(pmap, pert_eps, K, seed=seed + i)
-        for i in range(pert_count)
-    ]
-    for g in maps:
-        x = starts.copy()
-        for _ in range(horizon):
-            if not bool(K.contains(x).all()):
-                return False
-            x, _, steps = map_kernel(g, x)
-            if (steps < 1).any():
-                return False
-        if not bool(K.contains(x).all()):
-            return False
-    return True

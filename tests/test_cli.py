@@ -13,6 +13,9 @@ from endolab.cli import main
 Z2 = {"n": 1, "components": [[{"exps": [2], "re": 1.0, "im": 0.0}]]}
 BASILICA = {"n": 1, "components": [[{"exps": [2], "re": 1.0, "im": 0.0},
                                     {"exps": [0], "re": -1.0, "im": 0.0}]]}
+# z + z^2: a parabolic fixed point at 0, of multiplier 1
+PARABOLIC = {"n": 1, "components": [[{"exps": [2], "re": 1.0, "im": 0.0},
+                                     {"exps": [1], "re": 1.0, "im": 0.0}]]}
 SQUARES_2D = {"n": 2, "components": [
     [{"exps": [2, 0], "re": 1.0, "im": 0.0}],
     [{"exps": [0, 2], "re": 1.0, "im": 0.0}]]}
@@ -46,9 +49,19 @@ class TestPeriodic:
         summary = json.loads((out / "summary.json").read_text())
         # 0, 1, one 2-cycle, two 3-cycles
         assert summary["cycle_count"] == 5
+        # 0 is superattracting, the rest repelling: all hyperbolic
+        assert summary["all_hyperbolic"] is True
+        assert summary["all_transverse"] is True
         assert "config_hash" in summary["meta"]
         csv = (out / "cycles.csv").read_text()
         assert csv.startswith("# config_hash=")
+        out = tmp_path / "parabolic"
+        rc = main(["periodic", "--map", mapfile(PARABOLIC), "--out", str(out),
+                   "--set", "m_max", "1", "--set", "seeds", "64"])
+        assert rc == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["all_hyperbolic"] is False
+        assert summary["fraction_hyperbolic"] < 1.0
 
     def test_bitwise_reproducible(self, tmp_path, mapfile):
         m = mapfile(Z2)

@@ -1,4 +1,4 @@
-"""Julia approximants: escape grids, boundaries, repeller clouds, probes."""
+"""Julia approximants: escape grids, boundaries, repeller clouds."""
 
 import numpy as np
 import pytest
@@ -17,8 +17,6 @@ from endolab.julia import (
     dedup_points,
     directed_distance,
     grid_to_pgm,
-    inverse_iteration_cloud,
-    spread_probe,
 )
 
 Z2 = PolyMap.from_coeffs_1d([0, 0, 1])
@@ -205,29 +203,6 @@ class TestClouds:
         cloud = repeller_cloud(BASILICA, 6, Window.square(1, -2, 2),
                                seeds=4096, seed=0)
         assert directed_distance(cloud, b) <= 3 * g.cellwidth
-
-    def test_inverse_iteration_cross_check(self):
-        cloud = inverse_iteration_cloud(Z2, depth=30, keep_last=6, seed=0)
-        assert np.abs(np.abs(cloud.points) - 1.0).max() < 1e-6
-        f2 = PolyMap.from_terms(2, ((((2, 0), 1.0 + 0j),),
-                                    (((0, 2), 1.0 + 0j),)))
-        with pytest.raises(ValueError):
-            inverse_iteration_cloud(f2)
-
-
-class TestProbes:
-    def test_spread_probe_on_circle(self):
-        # angle doubling spreads any arc over the whole circle
-        u = Window(bounds=((0.9, 1.0), (-0.05, 0.05)))
-        v = Window(bounds=((-1.05, -0.95), (-0.05, 0.05)))
-        k = spread_probe(Z2, u, v, 20, samples=512, R=4.0, seed=0)
-        assert k is not None and k <= 20
-
-    def test_spread_probe_none_across_basins(self):
-        # interior of the disc never reaches the exterior cell
-        u = Window(bounds=((-0.1, 0.1), (-0.1, 0.1)))
-        v = Window(bounds=((2.9, 3.1), (-0.1, 0.1)))
-        assert spread_probe(Z2, u, v, 15, samples=128, R=4.0, seed=0) is None
 
 
 class TestPGM:

@@ -15,7 +15,6 @@ from endolab import (
     PolyMap,
     Window,
     escape_radius,
-    rank_check,
 )
 from endolab.maps import _poly_step, halton, map_kernel, sup_norm
 
@@ -408,6 +407,22 @@ class TestIterate:
                     map_kernel(f, p, np.array(m), jacobian=jacobian)
         assert map_kernel(f, p, np.array([2, 1]))[0].shape == (2, 1)
 
+    def test_per_point_m_must_not_increase(self):
+        # an increasing m once stepped the wrong rows: [1, 2] on z^2 - 1
+        # gave -0.4375 and -0.91 where the rows' own calls give -0.75 and
+        # -0.1719; so did a 2-D m, whose prefix ran over the first axis
+        f = PolyMap.from_coeffs_1d([-1, 0, 1])
+        p = np.array([[0.5 + 0j], [0.3 + 0j], [0.1 + 0j]])
+        bad = [(p, [1, 2, 2]), (p, [2, 1, 2]), (p, [3, 3, 4]), (p, [2, 1]),
+               (p[None], [3, 2, 1]), (np.stack([p, p]), [[2, 1, 1]] * 2)]
+        for q, m in bad:
+            for jacobian in (False, True):
+                with pytest.raises(ValueError, match="non-increasing"):
+                    map_kernel(f, q, np.array(m), jacobian=jacobian)
+        got = map_kernel(f, p, np.array([3, 3, 1]))[0]
+        for i, m in enumerate((3, 3, 1)):
+            assert np.array_equal(words(got[i]), words(f.iterate(p[i], m)))
+
     def test_zero_steps_give_the_identity_jacobian(self):
         f = random_map(2, rng=np.random.default_rng(44))
         q = np.array([[0.4 + 0.1j, -0.2j], [0.1, 0.3 + 0.3j]])
@@ -431,16 +446,6 @@ class TestIterate:
         f = random_map(1, rng=rng)
         assert np.array_equal(words(f.eval(0.1)), words(f.eval([0.1])))
         assert f.eval(0.1).shape == (1,)
-
-
-class TestRankCheck:
-    def test_full_rank_generic_point(self):
-        f = PolyMap.from_coeffs_1d([0, 0, 1])
-        assert rank_check(f, np.array([0.5 + 0j]))
-
-    def test_rank_drops_at_critical_point(self):
-        f = PolyMap.from_coeffs_1d([0, 0, 1])
-        assert not rank_check(f, np.array([0.0 + 0j]))
 
 
 class TestEscapeRadius:
