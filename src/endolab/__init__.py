@@ -18,6 +18,7 @@ from .periodic import (
     classify,
     eigenvalues,
     find_periodic,
+    hyperbolicity_report,
 )
 from .orbits import Orbit, orbit
 from .julia import (

@@ -127,9 +127,10 @@ def cmd_periodic(args):
     if tol > periodic.DEDUP_TOL:  # find_periodic says why
         raise ConfigError(f"tol must be at most {periodic.DEDUP_TOL:g}")
     out = _outdir(args)
-    cycles = periodic.find_periodic(
+    rep = periodic.hyperbolicity_report(
         f, m_max, window, seeds=seeds, tol=tol, seed=int(cfg["seed"])
     )
+    cycles = rep["cycles"]
     reporting.write_csv(os.path.join(out, "cycles.csv"),
                         periodic.cycles_to_csv(cycles, f.n), cfg)
     counts = {}
@@ -139,8 +140,8 @@ def cmd_periodic(args):
     reporting.write_json(os.path.join(out, "summary.json"), {
         "cycle_count": len(cycles),
         "by_class": counts,
-        "all_hyperbolic": hyperbolic == len(cycles),
-        "all_transverse": all(c.transverse for c in cycles),
+        "all_hyperbolic": rep["all_hyperbolic"],
+        "all_transverse": rep["all_transverse"],
         "fraction_hyperbolic": hyperbolic / len(cycles) if cycles else 1.0,
         "seed": cfg["seed"],
     }, cfg)

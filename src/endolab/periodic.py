@@ -276,7 +276,16 @@ def _dedup(points, resid, tol):
 
 
 # ---------------------------------------------------------------------------
-# CSV
+# aggregate report and CSV
+
+
+def hyperbolicity_report(pmap, m_max, window, seeds=1024, tol=1e-10, seed=0):
+    cycles = find_periodic(pmap, m_max, window, seeds=seeds, tol=tol, seed=seed)
+    return {
+        "cycles": cycles,
+        "all_transverse": all(c.transverse for c in cycles),
+        "all_hyperbolic": all(c.klass != "non_hyperbolic" for c in cycles),
+    }
 
 
 def cycles_to_csv(cycles, n):

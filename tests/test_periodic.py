@@ -21,6 +21,7 @@ from endolab.periodic import (
     _newton_batch,
     classify_multipliers,
     cycles_to_csv,
+    hyperbolicity_report,
 )
 
 Z2 = PolyMap.from_coeffs_1d([0, 0, 1])
@@ -468,6 +469,12 @@ class TestFindPeriodic:
 
 
 class TestReports:
+    def test_hyperbolicity_report_z2(self):
+        rep = hyperbolicity_report(Z2, 3, W2, seeds=512, seed=0)
+        assert rep["all_transverse"]
+        # 0 is superattracting, the rest repelling: all hyperbolic
+        assert rep["all_hyperbolic"]
+
     def test_cycles_to_csv_shape(self):
         cycles = find_periodic(Z2, 2, W2, seeds=256, seed=0)
         text = cycles_to_csv(cycles, 1)
