@@ -26,6 +26,9 @@ from scipy.sparse.csgraph import breadth_first_order, connected_components
 from .maps import Window, halton, map_kernel
 
 INFINITY = -1  # the absorbing point-at-infinity node; indexes node B
+# |J| in the dlapy2 form has the bits of the SVD for w = max(|Re J|, |Im J|)
+# in this range; LAPACK rescales a matrix below 6.7e-139 or above 1.5e138
+_LAPY_RANGE = (1e-130, 1e130)
 
 
 @dataclass(frozen=True)
@@ -140,6 +143,24 @@ def _unique_sorted(keys):
     return keys[keep]
 
 
+def _operator_norms(jac):
+    """Largest singular value of each matrix of jac (N, n, n), with the bits
+    of np.linalg.svd.  A 1 x 1 matrix's is |J| in LAPACK's dlapy2 form,
+    w sqrt(1 + (v/w)^2) with w = max(|Re J|, |Im J|) and v the min; outside
+    _LAPY_RANGE, where LAPACK rescales the matrix first, the SVD runs."""
+    svd = np.ones(len(jac), dtype=bool)
+    norm = np.empty(len(jac))
+    if jac.shape[1:] == (1, 1):
+        a, b = np.abs(jac[:, 0, 0].real), np.abs(jac[:, 0, 0].imag)
+        w, v = np.maximum(a, b), np.minimum(a, b)
+        svd = (w < _LAPY_RANGE[0]) | (w > _LAPY_RANGE[1])
+        w, v = w[~svd], v[~svd]
+        norm[~svd] = w * np.sqrt(1.0 + (v / w) ** 2)
+    if svd.any():
+        norm[svd] = np.linalg.svd(jac[svd], compute_uv=False).max(axis=-1)
+    return norm
+
+
 def build_box_map(pmap, window, depth, samples_per_box=8, pad_mode="subcell:2",
                   seed=0):
     """Outer approximation of the map on a box grid.
@@ -192,7 +213,7 @@ def build_box_map(pmap, window, depth, samples_per_box=8, pad_mode="subcell:2",
     over = reached == 0
     img[over] = 0.0
     opn = np.zeros(len(zs))
-    opn[~over] = np.linalg.svd(jac[~over], compute_uv=False).max(axis=-1)
+    opn[~over] = _operator_norms(jac[~over])
     opn = opn.reshape(B, -1)
     img_r = window.reals(img).reshape(B, -1, d)
     over = over.reshape(B, -1)

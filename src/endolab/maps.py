@@ -18,6 +18,9 @@ import numpy as np
 MAX_DIM = 3
 
 _FINITE_LIMIT = 1e150  # values beyond this are treated as overflow
+# map_kernel steps a larger (S, n) batch in blocks of this many rows, so a
+# block's temporaries stay in a 2 MiB L2 (CHANGES.md records the sweep)
+_BLOCK_ROWS = 8192
 
 
 class MapOverflowError(ArithmeticError):
@@ -236,12 +239,15 @@ def map_kernel(pmap, p, m=1, jacobian=False):
     A point's bits do not depend on the rest of the batch, so a caller
     drops the points that are not ok and keeps the rest (the orbit loops of
     ``orbits`` and ``julia`` call ``_step``, which holds the finite-range
-    rule, on their live points alone).  A bare (n,) point is a (1, n) batch,
-    squeezed on return, so it has the bits of its row in any batch.
+    rule, on their live points alone).  For the same reason an (S, n) batch
+    of more than ``_BLOCK_ROWS`` rows runs one row block at a time, its
+    per-point m sliced along, so that a block's temporaries stay in L2:
+    that changes no bit.  A bare (n,) point is a (1, n) batch, squeezed on
+    return, so it has the bits of its row in any batch.
     ``m`` >= 0; m = 0 returns a copy of p, and of T or the identity.  It
     may be per point (>= 1, non-increasing along an (S, n) batch, else
-    ValueError): step k maps only the prefix with m > k, so rows keep
-    their int-m bits.
+    ValueError, checked over the whole batch): step k maps only the prefix
+    with m > k, so rows keep their int-m bits.
     """
     p, bare = _as_points(p, pmap.n)
     m = np.asarray(m)
@@ -252,6 +258,17 @@ def map_kernel(pmap, p, m=1, jacobian=False):
         raise ValueError("a per-point m must be non-increasing, one per row "
                          "of an (S, n) batch")
     steps = np.full(p.shape[:-1], m)
+    if p.ndim == 2 and len(p) > _BLOCK_ROWS and m.any():
+        x = np.empty_like(p)
+        jac = (None if jacobian is False
+               else np.empty(p.shape + (pmap.n,), dtype=complex))
+        for s in range(0, len(p), _BLOCK_ROWS):
+            rows = slice(s, s + _BLOCK_ROWS)
+            x[rows], J, steps[rows] = map_kernel(
+                pmap, p[rows], m[rows] if m.ndim else m, jacobian)
+            if jac is not None:
+                jac[rows] = J
+        return x, jac, steps
     jac = None
     if jacobian is True and not m.any():  # f^0 is the identity
         jacobian = np.eye(pmap.n, dtype=complex)

@@ -16,8 +16,10 @@ from endolab import (
     morse_graph,
 )
 from endolab.conley import (
+    _LAPY_RANGE,
     INFINITY,
     BoxGrid,
+    _operator_norms,
     morse_to_dot,
     recurrent_mask,
     strong_components,
@@ -228,6 +230,43 @@ class TestTarjan:
             classes = morse_graph(g).classes
             assert {frozenset(c) for c in classes} == brute_scc(g.succ)
             assert classes[-1] == [INFINITY]
+
+
+class TestOperatorNorms:
+    def test_matches_svd_word_for_word(self):
+        # a 1 x 1 norm skips the SVD inside _LAPY_RANGE: compare at scales
+        # inside it, at both of its ends and past them, where LAPACK
+        # rescales the matrix and the SVD itself runs
+        rng = np.random.default_rng(71)
+        lo, hi = _LAPY_RANGE
+        parts = rng.uniform(-1, 1, size=(2, 4000))
+        parts[1, :500] = 0.0  # real and imaginary entries
+        parts[0, 500:1000] = 0.0
+        parts[:, 1000:1007] = [[1, -1, 0, 0, 1, 0.5, -1],
+                               [0, 0, 1, -1, 1, -1, 1e-170]]
+        parts /= np.abs(parts).max(axis=0)  # w = 1, the ends exactly
+        spread = rng.uniform(1, 1e3, 4000)
+
+        def matrices(re, im):
+            z = np.empty(len(re), dtype=complex)
+            z.real, z.imag = re, im
+            return z.reshape(-1, 1, 1)
+
+        def check(jac):
+            want = np.linalg.svd(jac, compute_uv=False).max(axis=-1)
+            assert np.array_equal(_operator_norms(jac).view(np.int64),
+                                  want.view(np.int64))
+
+        for scale in (lo, 1e-20, 1.0, 1e20, hi):
+            for re, im in (parts * scale, parts * (scale * spread
+                                                   if scale < 1 else
+                                                   scale / spread)):
+                w = np.maximum(np.abs(re), np.abs(im))
+                assert w.min() >= lo and w.max() <= hi
+                check(matrices(re, im))
+        for re, im in (parts * lo / 8, parts * hi * 8, np.zeros((2, 3))):
+            check(matrices(re, im))
+        check(rng.normal(size=(300, 2, 2)) + 1j * rng.normal(size=(300, 2, 2)))
 
 
 class TestBoxGraph:

@@ -11,6 +11,7 @@ from endolab import (
     hausdorff,
     repeller_cloud,
 )
+from endolab import julia
 from endolab.maps import map_kernel
 from endolab.julia import (
     PointCloud,
@@ -119,12 +120,16 @@ class TestEscapeGrid:
         (Z2, Window.square(1, -3, 3), 48, 40, 1e200, ()),
     ], ids=["z2_step0", "basilica", "slice_2d", "n_max_1", "overflow_only"])
     def test_live_set_matches_full_grid_loop(self, f, win, res, n_max, R,
-                                             fixed):
-        g = escape_grid(f, win, res, n_max, R, fixed=fixed)
-        want = full_grid_escape(f, g, n_max, R)
-        assert g.escape_iter.dtype == want.dtype
-        assert np.array_equal(g.escape_iter.view(np.int64),
-                              want.view(np.int64))
+                                             fixed, monkeypatch):
+        # in one tile, and in tiles of 1000 cells, which divide no res^2
+        # here, so the last tile is ragged
+        for tile in (res * res, 1000):
+            monkeypatch.setattr(julia, "_TILE_CELLS", tile)
+            g = escape_grid(f, win, res, n_max, R, fixed=fixed)
+            want = full_grid_escape(f, g, n_max, R)
+            assert g.escape_iter.dtype == want.dtype
+            assert np.array_equal(g.escape_iter.view(np.int64),
+                                  want.view(np.int64))
         assert g.escaped.any() and not g.escaped.all()
         if R > 1e150:
             assert g.escape_iter.min() == -1 and (g.escape_iter != 0).all()

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import endolab
+from endolab import maps
 from endolab import (
     EntireNode,
     MapOverflowError,
@@ -288,9 +289,12 @@ class TestJets:
                     else:
                         assert got[1] is None
 
-    def test_kernel_rows_do_not_depend_on_batch(self):
-        # escape_grid steps a shrinking subset of its cells and relies on
-        # each row keeping the bits it has in the whole batch
+    def test_kernel_rows_do_not_depend_on_batch(self, monkeypatch):
+        # escape_grid steps a shrinking subset of its cells, and map_kernel
+        # steps a long batch block by block; both rely on each row keeping
+        # the bits it has in the whole batch.  At 7-row blocks the 40 rows
+        # end in a ragged block of 5, and rows that overflow at step 0 (6,
+        # 7) or at step 1 (13, 14, 20, 21) sit on both sides of a boundary
         rng = np.random.default_rng(5)
         eye = np.eye(3, dtype=complex)
         for n, d in ((1, 2), (2, 3), (3, 5)):
@@ -298,17 +302,28 @@ class TestJets:
             pts = 0.5 * (rng.normal(size=(40, n))
                          + 1j * rng.normal(size=(40, n)))
             pts[0] = complex(-0.0, -0.0)
+            pts[[6, 7], 0] = 1e200
+            pts[[13, 14, 20, 21], 0] = 10.0 ** (100 / d)  # 1e100 at step 0
             sub = rng.permutation(40)[:13]
             for m, jacobian in ((1, False), (1, True), (3, eye[:n, :n])):
+                monkeypatch.setattr(maps, "_BLOCK_ROWS", 8192)
                 whole = map_kernel(f, pts, m, jacobian=jacobian)
+                steps = whole[2][[6, 7, 13, 14, 20, 21]]
+                assert (steps[:2] == 0).all() and (steps[2:] > 0).all()
+                assert m == 1 or (steps[2:] < m).all()
+                monkeypatch.setattr(maps, "_BLOCK_ROWS", 7)
+                blocked = map_kernel(f, pts, m, jacobian=jacobian)
                 part = map_kernel(f, pts[sub], m, jacobian=jacobian)
-                for a, b in zip(whole, part):
+                for a, b, c in zip(whole, blocked, part):
                     if a is not None:
-                        assert np.array_equal(words(a[sub]), words(b))
+                        assert np.array_equal(words(a), words(b))
+                        assert np.array_equal(words(a[sub]), words(c))
 
-    def test_per_point_m_matches_int_m_rows(self):
+    def test_per_point_m_matches_int_m_rows(self, monkeypatch):
         # a non-increasing per-point m steps a prefix of the batch; each
-        # row keeps the bits (and step count) of its own int-m call
+        # row keeps the bits (and step count) of its own int-m call, also
+        # when the batch runs in 7-row blocks (the last one ragged) with
+        # overflowing rows on both sides of the boundaries at 7 and 14
         rng = np.random.default_rng(23)
         eye = np.eye(3, dtype=complex)
         for n, d in ((1, 2), (2, 3), (3, 2)):
@@ -317,16 +332,24 @@ class TestJets:
                          + 1j * rng.normal(size=(30, n)))
             pts[[3, 17, 29]] = 1e80  # overflow at step 0, 1 or 2
             pts[[3, 17, 29], 0] = (1e80, 1e60, 1e40)
+            pts[[6, 7], 0] = 1e200
+            pts[[13, 14], 0] = 10.0 ** (100 / d)  # 1e100 at step 0
             m = np.sort(rng.integers(1, 6, size=30))[::-1]
-            for jacobian in (False, True, eye[:n, :n]):
-                got = map_kernel(f, pts, m, jacobian=jacobian)
-                assert (got[2] < m).sum() >= 2
-                for i in range(30):
-                    one = map_kernel(f, pts[i:i + 1], int(m[i]),
-                                     jacobian=jacobian)
-                    for a, b in zip(got, one):
-                        if a is not None:
-                            assert np.array_equal(words(a[i]), words(b[0]))
+            m[:15] = np.maximum(m[:15], 3)
+            for block in (8192, 7):
+                monkeypatch.setattr(maps, "_BLOCK_ROWS", block)
+                for jacobian in (False, True, eye[:n, :n]):
+                    got = map_kernel(f, pts, m, jacobian=jacobian)
+                    assert (got[2][[6, 7]] == 0).all()
+                    assert (got[2][[13, 14]] > 0).all()
+                    assert (got[2][[13, 14]] < m[[13, 14]]).all()
+                    for i in range(30):
+                        one = map_kernel(f, pts[i:i + 1], int(m[i]),
+                                         jacobian=jacobian)
+                        for a, b in zip(got, one):
+                            if a is not None:
+                                assert np.array_equal(words(a[i]),
+                                                      words(b[0]))
 
     def test_eval_does_not_mutate_input(self):
         f = random_map(1)
@@ -407,7 +430,7 @@ class TestIterate:
                     map_kernel(f, p, np.array(m), jacobian=jacobian)
         assert map_kernel(f, p, np.array([2, 1]))[0].shape == (2, 1)
 
-    def test_per_point_m_must_not_increase(self):
+    def test_per_point_m_must_not_increase(self, monkeypatch):
         # an increasing m once stepped the wrong rows: [1, 2] on z^2 - 1
         # gave -0.4375 and -0.91 where the rows' own calls give -0.75 and
         # -0.1719; so did a 2-D m, whose prefix ran over the first axis
@@ -422,6 +445,16 @@ class TestIterate:
         got = map_kernel(f, p, np.array([3, 3, 1]))[0]
         for i, m in enumerate((3, 3, 1)):
             assert np.array_equal(words(got[i]), words(f.iterate(p[i], m)))
+        # each 3-row block of this m is non-increasing, the whole is not
+        monkeypatch.setattr(maps, "_BLOCK_ROWS", 3)
+        q = np.concatenate([p, p])
+        for m in ([3, 2, 2, 4, 1, 1], [2, 2, 1, 2, 1, 1]):
+            for jacobian in (False, True):
+                with pytest.raises(ValueError, match="non-increasing"):
+                    map_kernel(f, q, np.array(m), jacobian=jacobian)
+        got = map_kernel(f, q, np.array([4, 3, 2, 2, 1, 1]))[0]
+        for i, m in enumerate((4, 3, 2, 2, 1, 1)):
+            assert np.array_equal(words(got[i]), words(f.iterate(q[i], m)))
 
     def test_zero_steps_give_the_identity_jacobian(self):
         f = random_map(2, rng=np.random.default_rng(44))
