@@ -23,14 +23,12 @@ from .periodic import (
 from .orbits import Orbit, orbit
 from .julia import (
     EscapeGrid,
-    PointCloud,
     boundary_extract,
     escape_grid,
     hausdorff,
     repeller_cloud,
 )
 from .conley import (
-    AttractorRecord,
     BoxGraph,
     BoxGrid,
     MorseGraph,

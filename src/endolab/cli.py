@@ -187,8 +187,7 @@ def cmd_julia(args):
     grid = julia.escape_grid(f, window, res, n_max, float(R), fixed=fixed)
     boundary = julia.boundary_extract(grid)
     repellers = julia.repeller_cloud(f, m_max, window, seeds=seeds,
-                                     seed=int(cfg["seed"]),
-                                     include_saddles=f.n >= 2)
+                                     seed=int(cfg["seed"]))
     reporting.write_pgm(os.path.join(out, "grid.pgm"),
                         julia.grid_to_pgm(grid), cfg)
     reporting.write_json(os.path.join(out, "grid.json"), {
@@ -227,14 +226,10 @@ def cmd_conley(args):
     except ValueError as e:
         raise ConfigError(str(e)) from None
     petal = cfg.get("petal_threshold")
-    if petal is not None:
-        try:
-            petal = float(petal)
-        except (TypeError, ValueError):
-            raise ConfigError(
-                f"bad value for petal_threshold: {petal!r}") from None
+    if petal is not None:  # any finite real; a negative one too
+        petal = _positive(cfg, "petal_threshold", 0.0, low=-np.inf)
     out = _outdir(args)
-    report, g, mg, recs = conley.hurley_report(
+    report, g, mg, _ = conley.hurley_report(
         f, window, depth, samples_per_box=spb, pad_mode=pad_mode,
         m_max=m_max, seed=int(cfg["seed"]),
         petal_threshold=petal,

@@ -6,7 +6,7 @@ anything leaving the window feeds a single absorbing `infinity` node with
 a self-loop.  The graph is stored as CSR arrays over nodes 0..B, node B
 being `infinity`.  SCCs of this graph stand in for chain-recurrence classes,
 the condensation DAG carries an integer complete-Lyapunov ranking, and
-sink classes yield combinatorial attractor/basin records.
+sink classes yield combinatorial attractor/basin node masks.
 
 The padding is a heuristic, not an enclosure: soundness holds at sample
 level only (every sampled image lands in a successor box).
@@ -64,17 +64,14 @@ class BoxGrid:
     def index(self, lattice):
         return np.ravel_multi_index(tuple(lattice), self.shape)
 
-    def box_of_reals(self, r):
-        """Real coordinates (..., 2n) -> flat box index, INFINITY outside."""
-        r = np.asarray(r, dtype=float)
+    def box_of_points(self, points):
+        """Complex points (..., n) -> flat box index, INFINITY outside."""
+        r = self.window.reals(points)
         lo = self.window.lo
         inside = np.all((r >= lo) & (r <= self.window.hi), axis=-1)
         cell = np.clip(np.floor((r - lo) / self.widths), 0, self.per_axis - 1)
         idx = self.index(np.moveaxis(cell.astype(np.int64), -1, 0))
         return np.where(inside, idx, INFINITY)
-
-    def box_of_points(self, points):
-        return self.box_of_reals(self.window.reals(points))
 
     def centers(self):
         """Complex centers of all boxes, (count, n)."""
@@ -298,9 +295,6 @@ class MorseGraph:
                                      minlength=len(self.recurrent)))
         return [c.tolist() for c in np.split(nodes[order], ends[:-1])]
 
-    def recurrent_boxes(self):
-        return np.flatnonzero(self.recurrent[self.class_of[:-1]])
-
     def sink_classes(self):
         has_out = np.bincount(self.dag_edges[:, 0],
                               minlength=len(self.recurrent))
@@ -360,21 +354,17 @@ def lyapunov(mg):
 # attractors and basins
 
 
-@dataclass(frozen=True)
-class AttractorRecord:
-    absorbing: frozenset  # box set U with successors(U) <= U
-    attractor: frozenset  # eventual image of U
-    basin: frozenset  # boxes with a path into U
-    is_infinity: bool
-
-
-def _sink_masks(g, mg):
-    """(U, attractor, basin) masks over nodes 0..B per recurrent sink class.
+def attractors(g, mg=None):
+    """(U, attractor, basin) masks over nodes 0..B, one triple per
+    recurrent sink class of the condensation; node B is `infinity`, whose
+    class yields the escape attractor.
 
     A sink class U satisfies successors(U) <= U by construction; the
     attractor is its eventual forward image, the basin its backward
     reachable set, found from one node of U since U is strongly connected.
     """
+    if mg is None:
+        mg = morse_graph(g)
     graph = g.matrix()
     back = graph.T.tocsr()
     out = []
@@ -397,34 +387,14 @@ def _sink_masks(g, mg):
     return out
 
 
-def _node_set(mask):
-    nodes = np.flatnonzero(mask)
-    nodes[nodes == len(mask) - 1] = INFINITY
-    return frozenset(nodes.tolist())
-
-
-def _record(U, A, basin):
-    return AttractorRecord(absorbing=_node_set(U), attractor=_node_set(A),
-                           basin=_node_set(basin), is_infinity=bool(U[-1]))
-
-
-def attractors(g, mg=None):
-    """One record per recurrent sink class of the condensation.
-
-    The `infinity` class yields the escape attractor.
-    """
-    if mg is None:
-        mg = morse_graph(g)
-    return [_record(*m) for m in _sink_masks(g, mg)]
-
-
 # ---------------------------------------------------------------------------
 # Hurley-style verification report
 
 
 def hurley_report(pmap, window, depth, samples_per_box=8, pad_mode="subcell:2",
                   m_max=3, seeds=1024, seed=0, petal_threshold=None):
-    """Combinatorial checks of the chain-recurrence decomposition.
+    """Combinatorial checks of the chain-recurrence decomposition;
+    returns (report, box graph, Morse graph, the `attractors` masks).
 
     (i)   non-recurrent boxes are covered by basin-minus-attractor sets
           (the `infinity` attractor included);
@@ -449,11 +419,10 @@ def hurley_report(pmap, window, depth, samples_per_box=8, pad_mode="subcell:2",
     g = build_box_map(pmap, window, depth, samples_per_box=samples_per_box,
                       pad_mode=pad_mode, seed=seed)
     mg = morse_graph(g)
-    masks = _sink_masks(g, mg)
-    recs = [_record(*m) for m in masks]
+    masks = attractors(g, mg)
     report = {"depth": depth, "classes": len(mg.recurrent),
               "recurrent_classes": int(np.sum(mg.recurrent)),
-              "attractors": len(recs), "items": {}}
+              "attractors": len(masks), "items": {}}
 
     B = g.grid.count
     box_class = mg.class_of[:B]
@@ -509,7 +478,7 @@ def hurley_report(pmap, window, depth, samples_per_box=8, pad_mode="subcell:2",
         it["pass"] if isinstance(it, dict) else all(x["pass"] for x in it)
         for it in report["items"].values()
     )
-    return report, g, mg, recs
+    return report, g, mg, masks
 
 
 # ---------------------------------------------------------------------------

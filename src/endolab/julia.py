@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .maps import Window, _step, sup_norm
-from .periodic import _dedup, find_periodic
+from .periodic import DEDUP_TOL, _dedup, find_periodic
 
 # escape_grid steps its cells in tiles of this many (CHANGES.md records the
 # sweep); every tile pays up to n_max steps of Python overhead
@@ -83,75 +83,53 @@ def escape_grid(pmap, window, res, n_max, R, fixed=()):
                       escape_iter=esc_iter.reshape(res, res))
 
 
-@dataclass(frozen=True)
-class PointCloud:
-    points: np.ndarray  # (N, n) complex
-    tag: str
-
-    def __len__(self):
-        return len(self.points)
-
-
-def dedup_points(pts, tol=1e-8):
-    """Deterministic dedup at sup-norm tol, preserving sorted order: sort
-    by (re p_1..re p_n, im p_1..im p_n), drop each point within tol of a
-    kept one."""
+def dedup_points(pts):
+    """Deterministic dedup at sup-norm DEDUP_TOL, preserving sorted order:
+    sort by (re p_1..re p_n, im p_1..im p_n), drop each point within
+    DEDUP_TOL of a kept one; a (0, n) array stays one."""
     pts = np.asarray(pts, dtype=complex)
     pts = pts.reshape(-1, pts.shape[-1])
     pts = pts[np.lexsort(np.hstack([pts.real, pts.imag]).T[::-1])]
-    return _dedup(pts, np.zeros(len(pts)), tol)[0]  # ties keep the first
+    return _dedup(pts, np.zeros(len(pts)), DEDUP_TOL)[0]  # ties keep the first
 
 
 def boundary_extract(grid):
-    """Centers of bounded cells 4-adjacent to an escaped cell.
-
-    Empty (with a warning flag in the tag) when the grid is all-bounded or
-    all-escaped.
-    """
+    """Centers of bounded cells 4-adjacent to an escaped cell, (N, n)
+    complex; N = 0 when the grid is all-bounded or all-escaped."""
     esc = grid.escaped
-    if esc.all() or not esc.any():
-        return PointCloud(points=np.empty((0, grid.window.n), dtype=complex),
-                          tag="boundary:empty")
     nb = np.zeros_like(esc)
     nb[1:, :] |= esc[:-1, :]
     nb[:-1, :] |= esc[1:, :]
     nb[:, 1:] |= esc[:, :-1]
     nb[:, :-1] |= esc[:, 1:]
-    mask = (~esc) & nb
-    centers = grid.centers()[mask]
-    return PointCloud(points=centers.reshape(-1, grid.window.n),
-                      tag="boundary")
+    return grid.centers()[~esc & nb]
 
 
-def repeller_cloud(pmap, m_max, window, seeds=1024, tol=1e-10, seed=0,
-                   include_saddles=False):
-    """All orbit points of repelling (optionally also saddle) cycles."""
+def repeller_cloud(pmap, m_max, window, seeds=1024, tol=1e-10, seed=0):
+    """All orbit points of repelling and saddle cycles, deduped, (N, n)
+    complex.  A 1-D cycle has one multiplier, so it is never a saddle."""
     cycles = find_periodic(pmap, m_max, window, seeds=seeds, tol=tol, seed=seed)
-    kinds = {"repelling"} | ({"saddle"} if include_saddles else set())
-    pts = [np.asarray(q).reshape(pmap.n)
-           for c in cycles if c.klass in kinds for q in c.points]
-    if not pts:
-        return PointCloud(points=np.empty((0, pmap.n), dtype=complex),
-                          tag="repellers")
-    return PointCloud(points=dedup_points(np.array(pts)), tag="repellers")
+    pts = [q for c in cycles if c.klass in ("repelling", "saddle")
+           for q in c.points]
+    return dedup_points(np.reshape(pts, (-1, pmap.n)))
 
 
 def hausdorff(A, B):
-    """Symmetric Hausdorff distance in sup-norm between finite clouds."""
+    """Symmetric Hausdorff distance in sup-norm between finite clouds,
+    (N, n) arrays."""
     if len(A) == 0 or len(B) == 0:
         raise ValueError("hausdorff of an empty cloud")
     return float(max(directed_distance(A, B), directed_distance(B, A)))
 
 
-def directed_distance(A, B, chunk=1024):
-    """sup over A of the distance to B (one direction only)."""
+def directed_distance(A, B):
+    """sup over A of the distance to B (one direction only), for (N, n)
+    arrays; A runs in chunks of 1024 points."""
     if len(A) == 0 or len(B) == 0:
         raise ValueError("distance from/to an empty cloud")
-    b = B.points
     worst = 0.0
-    for s in range(0, len(A), chunk):
-        a = A.points[s : s + chunk]
-        d = sup_norm(a[:, None, :] - b[None, :, :])
+    for s in range(0, len(A), 1024):
+        d = sup_norm(A[s:s + 1024, None, :] - B[None, :, :])
         worst = max(worst, float(d.min(axis=1).max()))
     return worst
 
@@ -159,7 +137,7 @@ def directed_distance(A, B, chunk=1024):
 def cloud_to_csv(cloud, n):
     buf = io.StringIO()
     buf.write(",".join(f"re_{i+1},im_{i+1}" for i in range(n)) + "\n")
-    for p in cloud.points:
+    for p in cloud:
         buf.write(",".join(f"{v:.12g}" for z in p for v in (z.real, z.imag)))
         buf.write("\n")
     return buf.getvalue()

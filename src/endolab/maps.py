@@ -8,7 +8,6 @@ iteration.  All evaluation routines broadcast over a leading batch axis.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional
@@ -85,12 +84,12 @@ class PolyMap:
     # -- constructors ---------------------------------------------------
 
     @staticmethod
-    def from_terms(n, components, allow_constant=False):
+    def from_terms(n, components):
         comps = tuple(
             tuple((tuple(int(e) for e in exps), complex(c)) for exps, c in comp)
             for comp in components
         )
-        return PolyMap(n=n, components=comps, allow_constant=allow_constant)
+        return PolyMap(n=n, components=comps)
 
     @staticmethod
     def from_coeffs_1d(coeffs):
@@ -175,9 +174,6 @@ class PolyMap:
             d["entire"] = _entire_to_json(self.entire)
         return d
 
-    def to_json(self):
-        return json.dumps(self.to_json_dict(), sort_keys=True)
-
     @staticmethod
     def from_json_dict(d):
         n = int(d["n"])
@@ -192,10 +188,6 @@ class PolyMap:
                 raise ValueError("entire builtins are 1-D only")
             return PolyMap.entire_1d(_entire_from_json(entire))
         return PolyMap.from_terms(n, comps)
-
-    @staticmethod
-    def from_json(s):
-        return PolyMap.from_json_dict(json.loads(s))
 
 
 @dataclass(frozen=True)

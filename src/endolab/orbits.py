@@ -24,10 +24,6 @@ class Orbit:
     escaped: bool
     escape_index: Optional[int]
 
-    @property
-    def last(self):
-        return self.points[-1]
-
 
 def orbit(pmap, p, n_max, R):
     """Iterate until the sup-norm exceeds R or n_max steps elapse.
@@ -60,12 +56,12 @@ def _default_radius(pmap, cycle):
     return max(R, 2.0 * top + 1.0)
 
 
-def shell_points(center, radius, n, per_pair=SHELL_POINTS):
+def shell_points(center, radius, n):
     """Center plus SHELL_POINTS points per complex coordinate on the sphere
     of the given radius (each point offsets one coordinate on a circle)."""
     center = np.asarray(center, dtype=complex).reshape(n)
     pts = [center]
-    ang = 2 * np.pi * np.arange(per_pair) / per_pair
+    ang = 2 * np.pi * np.arange(SHELL_POINTS) / SHELL_POINTS
     for j in range(n):
         off = radius * np.exp(1j * ang)
         for w in off:

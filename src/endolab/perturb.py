@@ -303,12 +303,12 @@ def _close_orbit(f, q, m, jt, prescribed_jac, K, budget):
             )}
 
 
-def make_periodic_point(f, q, m, kind, K, budget, strength=10.0):
+def make_periodic_point(f, q, m, kind, K, budget):
     """Manufacture a cycle of the requested stability through q.
 
-    kind: super_attracting (closing Jacobian 0), repelling (scalar c times
-    the inverse of D f^m(q), |c| > 1), or saddle (mixed diagonal after
-    inverting D f^m(q); needs n >= 2).
+    kind: super_attracting (closing Jacobian 0), repelling (10 times the
+    inverse of D f^m(q)), or saddle (mixed diagonal after inverting
+    D f^m(q); needs n >= 2).
     """
     if kind not in ("super_attracting", "repelling", "saddle"):
         raise ValueError(f"unknown kind {kind!r}")
@@ -321,7 +321,7 @@ def make_periodic_point(f, q, m, kind, K, budget, strength=10.0):
     else:
         inv = np.linalg.inv(jt.jacobian)
         if kind == "repelling":
-            pj = strength * inv
+            pj = 10.0 * inv
         else:
             diag = np.diag([0.5, 2.0, 4.0][: f.n]).astype(complex)
             pj = diag @ inv
@@ -433,9 +433,9 @@ def _rim_point(direction, window, frac):
 # random coefficient perturbations
 
 
-def random_perturbation(f, eps, K, seed=0, samples=2000):
+def random_perturbation(f, eps, K, seed=0):
     """Gaussian coefficient noise on all monomials up to the map's degree,
-    rescaled so the sampled sup-norm of the delta on K equals eps."""
+    rescaled so the sup-norm of the delta on 2000 samples of K equals eps."""
     if eps < 0:
         raise ValueError("eps must be >= 0")
     if eps == 0:
@@ -446,7 +446,7 @@ def random_perturbation(f, eps, K, seed=0, samples=2000):
     coeffs = (rng.standard_normal((len(basis), n))
               + 1j * rng.standard_normal((len(basis), n)))
     delta = _delta_map(n, basis, coeffs)
-    sup = sampled_sup_norm(delta, K, samples=samples, seed=seed)
+    sup = sampled_sup_norm(delta, K, samples=2000, seed=seed)
     coeffs *= eps / sup
     return _add_terms(f, basis, coeffs)
 

@@ -53,7 +53,7 @@ from endolab import (
     repeller_cloud,
 )
 from endolab.cli import main as cli_main
-from endolab.julia import PointCloud, directed_distance
+from endolab.julia import directed_distance
 from endolab.perturb import monomials
 from conftest import record_criterion
 from test_conley import basilica_basin_violations, brute_scc, julia_class
@@ -150,12 +150,11 @@ def test_criterion_1_julia_characterizations_agree():
     d_on = directed_distance(cloudb, bb)
     ok_on = d_on <= tol_bas
     d_cover = directed_distance(bb, cloudb)
-    d_cover_p9 = directed_distance(bb, PointCloud(points=p9[:, None],
-                                                  tag="P9"))
+    d_cover_p9 = directed_distance(bb, p9[:, None])
     ok_cover = d_cover <= d_cover_p9 + tol_bas
     # points of different periods come within 4e-7 of each other; the
     # cloud's points match P_9 to 4e-11
-    found = int((np.abs(p9[:, None] - cloudb.points[None, :, 0]).min(axis=1)
+    found = int((np.abs(p9[:, None] - cloudb[None, :, 0]).min(axis=1)
                  < 1e-9).sum())
 
     record_criterion(
@@ -231,8 +230,8 @@ def test_criterion_3_hurley_decomposition():
     oks = []
     for f, win, depth in ((BASILICA, W175, 6),
                           (HALF, Window.square(1, -1, 1), 4)):
-        report, g, mg, recs = hurley_report(f, win, depth, m_max=2,
-                                            seeds=512, seed=0)
+        report, g, mg, _ = hurley_report(f, win, depth, m_max=2,
+                                         seeds=512, seed=0)
         lyapunov(mg)
         cover = report["items"]["i_nonrecurrent_in_basins"]["pass"]
         strict = all(mg.lyapunov[u] > mg.lyapunov[v]
@@ -257,17 +256,15 @@ def test_criterion_4_attracting_cycle_chain_class():
     bb = boundary_extract(escape_grid(BASILICA, W175, 1024, 200, 3.0))
     counts, widths = {}, {}
     for depth in (6, 8):
-        report, g, mg, recs = hurley_report(BASILICA, W175, depth, m_max=2,
-                                            seeds=512, seed=0)
+        report, g, mg, _ = hurley_report(BASILICA, W175, depth, m_max=2,
+                                         seeds=512, seed=0)
         viols = basilica_basin_violations(g, mg)
         counts[depth] = sum(x["violation_count"]
                             for x in report["items"]["iii_basin_nonrecurrent"]
                             if x["period"] == 2)
         assert counts[depth] == len(viols)
         centers = g.grid.centers()[viols]
-        widths[depth] = (directed_distance(PointCloud(points=centers,
-                                                      tag="viols"), bb)
-                         if viols else 0.0)
+        widths[depth] = directed_distance(centers, bb) if viols else 0.0
         if depth == 6:
             two = [x for x in report["items"]["ii_cycle_is_sink_class"]
                    if x["period"] == 2]
@@ -301,7 +298,7 @@ def test_criterion_5_parabolic_behaviour():
     mult = out["multipliers"][0]
     ok_mult = abs(mult - 1.0) <= 1e-12
 
-    report, g, mg, recs = hurley_report(
+    report, g, mg, _ = hurley_report(
         out["map"], Window.square(1, -1, 1), 7, m_max=1, seeds=256,
         seed=0, petal_threshold=0.05)
     petal = report["items"]["iv_petal_chain_recurrent"]

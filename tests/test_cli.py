@@ -102,7 +102,8 @@ class TestConley:
         out = tmp_path / "out"
         rc = main(["conley", "--map", mapfile(BASILICA), "--out", str(out),
                    "--set", "depth", "4", "--set", "m_max", "2",
-                   "--set", "window", "[[-1.75,1.75],[-1.75,1.75]]"])
+                   "--set", "window", "[[-1.75,1.75],[-1.75,1.75]]",
+                   "--set", "petal_threshold", "-0.5"])  # any finite real
         assert rc == 0
         dot = (out / "morse.dot").read_text()
         assert dot.startswith("// config_hash=")
@@ -110,6 +111,7 @@ class TestConley:
         assert (out / "recurrent.pgm").exists()
         rep = json.loads((out / "hurley.json").read_text())
         assert rep["items"]["i_nonrecurrent_in_basins"]["pass"]
+        assert "iv_petal_chain_recurrent" in rep["items"]
 
     def test_bitwise_reproducible(self, tmp_path, mapfile):
         m = mapfile(BASILICA)
@@ -200,6 +202,12 @@ class TestErrors:
         ("conley", "pad_mode", '"fixed:0.05"'),
         ("conley", "depth", "0"),
         ("conley", "petal_threshold", '"x"'),
+        # a petal threshold is a finite real: no bool, NaN or infinity
+        ("conley", "petal_threshold", "true"),
+        ("conley", "petal_threshold", "NaN"),
+        ("conley", "petal_threshold", "1e400"),
+        # (a leading space: argparse takes "-1e400" for an option)
+        ("conley", "petal_threshold", " -1e400"),
         ("julia", "res", "1"),
         ("julia", "slice", '"a,b"'),
         ("julia", "R", '"x"'),

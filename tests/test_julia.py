@@ -14,7 +14,6 @@ from endolab import (
 from endolab import julia
 from endolab.maps import map_kernel
 from endolab.julia import (
-    PointCloud,
     dedup_points,
     directed_distance,
     grid_to_pgm,
@@ -46,7 +45,7 @@ def full_grid_escape(pmap, grid, n_max, R):
 
 def circle_cloud(npts=4096):
     th = np.linspace(0, 2 * np.pi, npts, endpoint=False)
-    return PointCloud(points=np.exp(1j * th).reshape(-1, 1), tag="circle")
+    return np.exp(1j * th).reshape(-1, 1)
 
 
 class TestEscapeGrid:
@@ -78,8 +77,13 @@ class TestEscapeGrid:
 
     def test_all_bounded_grid_gives_empty_boundary(self):
         g = escape_grid(Z2, Window.square(1, -0.3, 0.3), 16, 50, 2.0)
-        b = boundary_extract(g)
-        assert len(b) == 0 and "empty" in b.tag
+        assert not g.escaped.any()
+        assert boundary_extract(g).shape == (0, 1)
+        # and an all-escaped grid: c = 0.5 + 0.6i lies outside M
+        dust = PolyMap.from_coeffs_1d([0.5 + 0.6j, 0, 1])
+        g = escape_grid(dust, W, 64, 200, 3.0)
+        assert g.escaped.all()
+        assert boundary_extract(g).shape == (0, 1)
 
     def test_n2_slice(self):
         # product map (z^2, w^2) sliced at w = 0.1: same unit-disc picture
@@ -159,12 +163,12 @@ class TestEscapeGrid:
 class TestClouds:
     def test_dedup(self):
         pts = np.array([[0j], [1e-12 + 0j], [1.0 + 0j], [1.0 + 2e-8j]])
-        out = dedup_points(pts, tol=1e-8)
+        out = dedup_points(pts)
         assert len(out) == 3
         # the conjugate sorts between the two copies of 0.3 + 0.5i
         pts = np.array([[0.3 + 0.5j], [0.3 - 0.5j + 1e-13],
                         [0.3 + 0.5j + 2e-13]])
-        out = dedup_points(pts, tol=1e-8)
+        out = dedup_points(pts)
         assert np.array_equal(out, pts[:2])
 
     def test_dedup_deterministic_under_permutation(self):
@@ -175,16 +179,15 @@ class TestClouds:
         assert np.array_equal(a, b)
 
     def test_hausdorff_oracle(self):
-        A = PointCloud(points=np.array([[0j], [1.0 + 0j]]), tag="a")
-        B = PointCloud(points=np.array([[0j], [1.5 + 0j], [5.0 + 0j]]),
-                       tag="b")
+        A = np.array([[0j], [1.0 + 0j]])
+        B = np.array([[0j], [1.5 + 0j], [5.0 + 0j]])
         assert directed_distance(A, B) == pytest.approx(0.5)
         assert directed_distance(B, A) == pytest.approx(4.0)
         assert hausdorff(A, B) == pytest.approx(4.0)
 
     def test_hausdorff_empty_raises(self):
-        A = PointCloud(points=np.empty((0, 1), dtype=complex), tag="e")
-        B = PointCloud(points=np.array([[0j]]), tag="b")
+        A = np.empty((0, 1), dtype=complex)
+        B = np.array([[0j]])
         with pytest.raises(ValueError):
             hausdorff(A, B)
 
@@ -192,7 +195,16 @@ class TestClouds:
         cloud = repeller_cloud(Z2, 5, Window.square(1, -2, 2), seeds=2048,
                                seed=0)
         assert len(cloud) > 0
-        assert np.abs(np.abs(cloud.points) - 1.0).max() < 1e-8
+        assert np.abs(np.abs(cloud) - 1.0).max() < 1e-8
+
+    def test_saddles_join_the_repellers(self):
+        # (z_1^2, z_2^2) fixes (0, 0), a super-attracting point, the
+        # saddles (0, 1) and (1, 0) and the repelling point (1, 1)
+        f = PolyMap.from_terms(2, ((((2, 0), 1.0),), (((0, 2), 1.0),)))
+        cloud = repeller_cloud(f, 1, Window.square(2, -1.5, 1.5))
+        want = np.array([[0, 1], [1, 0], [1, 1]], dtype=complex)
+        assert cloud.shape == want.shape
+        assert np.abs(cloud - want).max() < 1e-10
 
     def test_repellers_approach_boundary(self):
         # directed containment: every repeller sits near the escape boundary

@@ -136,7 +136,7 @@ class TestOrbit:
         o = orbit(Z2, np.array([0.5 + 0j]), 50, 2.0)
         assert not o.escaped
         assert len(o.points) == 51
-        assert abs(o.last[0]) < 1e-9
+        assert abs(o.points[-1, 0]) < 1e-9
 
     def test_escaping_orbit(self):
         o = orbit(Z2, np.array([1.5 + 0j]), 50, 2.0)
