@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 
 import numpy as np
@@ -354,6 +355,10 @@ def _build_parser():
         sp.add_argument("--set", dest="override", nargs=2, action="append",
                         metavar=("KEY", "JSON"),
                         help="override a config key with a JSON value")
+        # argparse reads "-1e-3" as an option: its negative numbers are
+        # only of the forms -1 and -0.5
+        sp._negative_number_matcher = re.compile(
+            r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
         sp.set_defaults(fn=fn)
     return p
 

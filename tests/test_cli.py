@@ -113,6 +113,18 @@ class TestConley:
         assert rep["items"]["i_nonrecurrent_in_basins"]["pass"]
         assert "iv_petal_chain_recurrent" in rep["items"]
 
+    @pytest.mark.parametrize("value", ["-1e-3", "-1E-3", "-10e-4"])
+    def test_negative_value_with_an_exponent(self, tmp_path, mapfile, value):
+        # argparse takes a token that starts with "-" for an option unless
+        # it reads it as a negative number; -0.001 always ran
+        m = mapfile(BASILICA)
+        for d, v in (("a", "-0.001"), ("b", value)):
+            rc = main(["conley", "--map", m, "--out", str(tmp_path / d),
+                       "--set", "depth", "3", "--set", "m_max", "1",
+                       "--set", "petal_threshold", v])
+            assert rc == 0
+        assert same_tree(str(tmp_path / "a"), str(tmp_path / "b"))
+
     def test_bitwise_reproducible(self, tmp_path, mapfile):
         m = mapfile(BASILICA)
         for d in ("a", "b"):
@@ -206,8 +218,8 @@ class TestErrors:
         ("conley", "petal_threshold", "true"),
         ("conley", "petal_threshold", "NaN"),
         ("conley", "petal_threshold", "1e400"),
-        # (a leading space: argparse takes "-1e400" for an option)
-        ("conley", "petal_threshold", " -1e400"),
+        ("conley", "petal_threshold", "-1e400"),
+        ("conley", "petal_threshold", " -1e400"),  # JSON allows the space
         ("julia", "res", "1"),
         ("julia", "slice", '"a,b"'),
         ("julia", "R", '"x"'),

@@ -11,6 +11,7 @@ from endolab import (
     Window,
     attractors,
     build_box_map,
+    conley,
     hurley_report,
     lyapunov,
     morse_graph,
@@ -266,7 +267,66 @@ class TestOperatorNorms:
                 check(matrices(re, im))
         for re, im in (parts * lo / 8, parts * hi * 8, np.zeros((2, 3))):
             check(matrices(re, im))
-        check(rng.normal(size=(300, 2, 2)) + 1j * rng.normal(size=(300, 2, 2)))
+
+    def test_2x2_within_2e_15_of_svd(self):
+        # the Gram form does not give the SVD's bits, only its value to a
+        # few units in the last place; a subnormal norm carries fewer bits,
+        # so there the bound is one unit in its last place
+        rng = np.random.default_rng(72)
+
+        def normal(*shape):
+            return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+        u = normal(500)
+        diag = np.zeros((500, 2, 2), dtype=complex)
+        diag[:, 0, 0] = u
+        diag[:, 1, 1] = np.abs(u) * np.exp(2j * np.pi * rng.uniform(size=500))
+        # a [[1, t], [-conj t, 1]] is a multiple of a unitary matrix
+        t = normal(500)
+        conformal = np.stack([np.stack([np.ones(500), t], -1),
+                              np.stack([-t.conj(), np.ones(500)], -1)], 1)
+        conformal = (normal(500)[:, None, None] * conformal
+                     + 1e-9 * normal(500, 2, 2))
+        families = {
+            "zero": np.zeros((3, 2, 2), dtype=complex),
+            "rank 1": normal(500, 2, 1) * normal(500, 1, 2),
+            "diagonal |z| = |w|": diag,
+            "nearly conformal": conformal,
+            "random": normal(2000, 2, 2),
+        }
+        for scale in (1e-310, 1e-150, 1.0, 1e150, 1e300):
+            for name, jac in families.items():
+                jac = jac * scale
+                got = _operator_norms(jac)
+                want = np.linalg.svd(jac, compute_uv=False).max(axis=-1)
+                bound = np.maximum(2e-15 * want, np.spacing(want))
+                assert np.all(np.abs(got - want) <= bound), (scale, name)
+                assert np.array_equal(got == 0, want == 0), (scale, name)
+
+    @pytest.mark.parametrize("pad_mode", ["jacobian", "subcell:2"])
+    @pytest.mark.parametrize("c1,c2,eps", [
+        (0.2 + 0.1j, -0.1 + 0.2j, 0.03 + 0.01j),
+        (-0.15 - 0.25j, 0.22 - 0.05j, -0.02 + 0.04j)], ids=["first", "second"])
+    def test_2d_box_maps_keep_the_svd_edges(self, monkeypatch, c1, c2, eps,
+                                            pad_mode):
+        # (z^2 + c1 + eps w, w^2 + c2) on [-1.75, 1.75]^4 at depth 3, as in
+        # the benchmark's 2-D Conley jobs (which pad in the CLI's default
+        # `jacobian` mode): the Gram form's last bits move no edge against
+        # the SVD's
+        def term(exps, c):
+            return {"exps": exps, "re": c.real, "im": c.imag}
+
+        f = PolyMap.from_json_dict({"n": 2, "components": [
+            [term([2, 0], 1), term([0, 0], c1), term([0, 1], eps)],
+            [term([0, 2], 1), term([0, 0], c2)]]})
+        win = Window.square(2, -1.75, 1.75)
+        got = build_box_map(f, win, 3, pad_mode=pad_mode)
+        monkeypatch.setattr(
+            conley, "_operator_norms",
+            lambda jac: np.linalg.svd(jac, compute_uv=False).max(axis=-1))
+        want = build_box_map(f, win, 3, pad_mode=pad_mode)
+        assert np.array_equal(got.indptr, want.indptr)
+        assert np.array_equal(got.indices, want.indices)
 
 
 class TestBoxGraph:
