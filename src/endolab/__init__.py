@@ -6,7 +6,6 @@ decompositions, and minimal-norm jet-interpolation perturbations."""
 __version__ = "0.1.0"
 
 from .maps import (
-    EntireNode,
     Jet,
     MapOverflowError,
     PolyMap,

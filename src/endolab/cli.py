@@ -59,12 +59,14 @@ def _get_map(cfg):
     spec = cfg.get("map")
     if spec is None:
         raise ConfigError("no map given (use --map or config key 'map')")
+    if not isinstance(spec, (dict, str)):  # open() reads an int as an fd
+        raise ConfigError("a map is a JSON object or a file path")
     try:
         if isinstance(spec, dict):
             return PolyMap.from_json_dict(spec)
         with open(spec) as fh:
             return PolyMap.from_json_dict(json.load(fh))
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as e:
+    except (OSError, ValueError, KeyError, TypeError) as e:
         raise ConfigError(f"bad map spec: {e}") from e
 
 

@@ -231,6 +231,7 @@ def build_box_map(pmap, window, depth, samples_per_box=8, pad_mode="subcell:2",
     opn = opn.reshape(B, -1)
     img_r = window.reals(img).reshape(B, -1, d)
     over = over.reshape(B, -1)
+    del base, samples, zs, img, jac  # nothing below reads them
 
     # padded image rectangle [a, b] of each box and sample group, (B, G, d)
     rad = float(w.max()) / (2.0 * split)

@@ -1,4 +1,4 @@
-"""Polynomial (and 1-D entire) self-maps of C^n with forward-mode jets.
+"""Polynomial self-maps of C^n with forward-mode jets.
 
 A map is stored as n sparse component term lists; each term is a
 (multi-index, complex coefficient) pair.  Jacobians come from dual-number
@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Optional
 
 import numpy as np
 
@@ -35,37 +34,17 @@ class MapOverflowError(ArithmeticError):
 
 
 @dataclass(frozen=True)
-class EntireNode:
-    """Node of a composition tree over {polynomial, exp, sin} (n=1 only)."""
-
-    kind: str  # "poly" | "exp" | "sin"
-    coeffs: tuple = ()  # dense low-to-high, for kind == "poly"
-    inner: Optional["EntireNode"] = None  # None means the identity argument z
-
-    def __post_init__(self):
-        if self.kind not in ("poly", "exp", "sin"):
-            raise ValueError(f"unknown entire node kind {self.kind!r}")
-        if self.kind == "poly" and len(self.coeffs) == 0:
-            raise ValueError("poly node needs coefficients")
-
-
-@dataclass(frozen=True)
 class PolyMap:
     """Endomorphism of C^n given by sparse multi-index terms per component."""
 
     n: int
     components: tuple  # n tuples of ((e_1..e_n), coeff) terms
-    entire: Optional[EntireNode] = None
     # corrections/deltas may be constant or identically zero
     allow_constant: bool = field(default=False, compare=False, repr=False)
 
     def __post_init__(self):
         if not 1 <= self.n <= MAX_DIM:
             raise ValueError(f"dimension must be in 1..{MAX_DIM}")
-        if self.entire is not None:
-            if self.n != 1:
-                raise ValueError("entire builtins are 1-D only")
-            return
         if len(self.components) != self.n:
             raise ValueError("component count must equal dimension")
         for comp in self.components:
@@ -97,19 +76,12 @@ class PolyMap:
         terms = [((k,), complex(c)) for k, c in enumerate(coeffs) if c != 0]
         return PolyMap.from_terms(1, [terms])
 
-    @staticmethod
-    def entire_1d(node: EntireNode):
-        return PolyMap(n=1, components=((),), entire=node)
-
     # -- structure ------------------------------------------------------
 
     def degree(self):
         """Maximal total degree over all components (0 for empty)."""
         degs = [sum(e) for comp in self.components for e, _ in comp]
         return max(degs) if degs else 0
-
-    def is_polynomial(self):
-        return self.entire is None
 
     @cached_property
     def _max_exponents(self):
@@ -169,25 +141,21 @@ class PolyMap:
             ]
             for comp in self.components
         ]
-        d = {"n": self.n, "components": comps}
-        if self.entire is not None:
-            d["entire"] = _entire_to_json(self.entire)
-        return d
+        return {"n": self.n, "components": comps}
 
     @staticmethod
     def from_json_dict(d):
-        n = int(d["n"])
+        """The map of a `to_json_dict` document.  Any other top-level key
+        is a ValueError, so that no part of a document goes unread."""
+        extra = set(d) - {"n", "components"}
+        if extra:
+            raise ValueError(f"unknown map keys {sorted(extra, key=str)}")
         comps = [
             [(tuple(t["exps"]), complex(t.get("re", 0.0), t.get("im", 0.0)))
              for t in comp]
-            for comp in d.get("components", [[]] * n)
+            for comp in d["components"]
         ]
-        entire = d.get("entire")
-        if entire is not None:
-            if n != 1:
-                raise ValueError("entire builtins are 1-D only")
-            return PolyMap.entire_1d(_entire_from_json(entire))
-        return PolyMap.from_terms(n, comps)
+        return PolyMap.from_terms(int(d["n"]), comps)
 
 
 @dataclass(frozen=True)
@@ -302,28 +270,14 @@ def _raise_overflow(steps, m):
                                index=k)
 
 
-def _step(pmap, x, jacobian):
-    """f once at points x (..., n), under the caller's errstate: (value,
+def _step(pmap, p, jacobian):
+    """f once at points p (..., n), under the caller's errstate: (value,
     Jacobian or None, sup-norm of value, ok).  ok is the finite-range rule:
-    value and Jacobian finite, sup-norm <= 1e150 (NaN fails it too)."""
-    if pmap.entire is None:
-        v, J = _poly_step(pmap, x, jacobian)
-    else:
-        z = x[..., 0]
-        v, g = _entire_step(pmap.entire, z,
-                            np.ones_like(z) if jacobian else None)
-        v, J = v[..., None], None if g is None else g[..., None, None]
-    norm = sup_norm(v)
-    ok = norm <= _FINITE_LIMIT
-    if J is not None:
-        ok &= np.isfinite(J).all(axis=(-2, -1))
-    return v, J, norm, ok
+    value and Jacobian finite, sup-norm <= 1e150 (NaN fails it too).
 
-
-def _poly_step(pmap, p, jacobian):
-    """f(p) and, when `jacobian`, Df(p) by forward-mode duals.  The
-    derivative sweep only reads each term's running product, so the value
-    has the same bits either way."""
+    f(p) and, when `jacobian`, Df(p) come from forward-mode duals over the
+    term table.  The derivative sweep only reads each term's running
+    product, so the value has the same bits either way."""
     batch, n = p.shape[:-1], pmap.n
     value = np.zeros(batch + (n,), dtype=complex)
     jac = np.zeros(batch + (n, n), dtype=complex) if jacobian else None
@@ -349,43 +303,11 @@ def _poly_step(pmap, p, jacobian):
             value[..., i] += val
             if jacobian:
                 jac[..., i, :] += grad
-    return value, jac
-
-
-def _entire_step(node, z, dz):
-    """Value at z and, unless dz is None, the derivative times dz."""
-    if node is None:
-        return z, dz
-    x, dx = _entire_step(node.inner, z, dz)
-    if node.kind == "exp":
-        v = np.exp(x)
-        return v, None if dx is None else v * dx
-    if node.kind == "sin":
-        return np.sin(x), None if dx is None else np.cos(x) * dx
-    acc = dacc = np.zeros_like(x)
-    for c in reversed(node.coeffs):
-        if dx is not None:
-            dacc = dacc * x + acc
-        acc = acc * x + c
-    return acc, None if dx is None else dacc * dx
-
-
-def _entire_to_json(node):
-    d = {"kind": node.kind}
-    if node.kind == "poly":
-        d["coeffs"] = [[c.real, c.imag] for c in map(complex, node.coeffs)]
-    if node.inner is not None:
-        d["inner"] = _entire_to_json(node.inner)
-    return d
-
-
-def _entire_from_json(d):
-    inner = d.get("inner")
-    return EntireNode(
-        kind=d["kind"],
-        coeffs=tuple(complex(re, im) for re, im in d.get("coeffs", [])),
-        inner=_entire_from_json(inner) if inner is not None else None,
-    )
+    norm = sup_norm(value)
+    ok = norm <= _FINITE_LIMIT
+    if jacobian:
+        ok &= np.isfinite(jac).all(axis=(-2, -1))
+    return value, jac, norm, ok
 
 
 # ---------------------------------------------------------------------------
@@ -400,8 +322,6 @@ def escape_radius(pmap):
     which all must have total degree <= d-1.  For the argmax coordinate
     that term then outgrows everything else once ||p||_inf is large.
     """
-    if not pmap.is_polynomial():
-        raise ValueError("no polynomial escape bound: entire map, supply R")
     if pmap.degree() < 2:
         raise ValueError("no polynomial escape bound")
     radii = []

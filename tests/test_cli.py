@@ -4,9 +4,12 @@ determinism."""
 import filecmp
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
+import endolab
 from endolab import conley
 from endolab.cli import main
 
@@ -184,12 +187,36 @@ class TestErrors:
         rc = main(["periodic", "--out", str(tmp_path / "o")])
         assert rc == 2
 
-    def test_bad_map_file_is_config_error(self, tmp_path):
+    @pytest.mark.parametrize("text", [
+        "{not json",
+        "[1, 2]",
+        '{"n": 1, "components": 5}',
+        '{"n": 1, "components": [[5]]}',
+        # a map is a polynomial term table and nothing else
+        '{"n": 1, "entire": {"kind": "sin"}}',
+        json.dumps({**BASILICA, "entire": {"kind": "sin"}}),
+    ], ids=["not_json", "list", "int_components", "int_term", "entire",
+            "basilica_entire"])
+    def test_bad_map_file_is_config_error(self, tmp_path, text):
         bad = tmp_path / "bad.json"
-        bad.write_text("{not json")
+        bad.write_text(text)
         rc = main(["periodic", "--map", str(bad),
-                   "--out", str(tmp_path / "o")])
+                   "--out", str(tmp_path / "o"),
+                   "--set", "m_max", "1", "--set", "seeds", "16"])
         assert rc == 2
+
+    def test_number_as_map_is_config_error(self, tmp_path):
+        # open(0) would read the map from stdin: a map spec is a JSON
+        # object or a path string.  A subprocess keeps this run's fd 0
+        cmd = [sys.executable, "-m", "endolab.cli", "periodic",
+               "--set", "map", "0", "--out", str(tmp_path / "o"),
+               "--set", "m_max", "1", "--set", "seeds", "16"]
+        src = os.path.dirname(os.path.dirname(endolab.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        run = subprocess.run(cmd, input=json.dumps(BASILICA), env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert run.returncode == 2, run.stderr
+        assert not (tmp_path / "o").exists()
 
     def test_bad_key_value_is_config_error(self, tmp_path, mapfile):
         rc = main(["periodic", "--map", mapfile(Z2),

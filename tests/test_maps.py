@@ -12,13 +12,12 @@ import pytest
 import endolab
 from endolab import maps
 from endolab import (
-    EntireNode,
     MapOverflowError,
     PolyMap,
     Window,
     escape_radius,
 )
-from endolab.maps import _poly_step, halton, map_kernel, sup_norm
+from endolab.maps import _step, halton, map_kernel, sup_norm
 
 RNG = np.random.default_rng(1234)
 
@@ -104,14 +103,6 @@ class TestJets:
         rng = np.random.default_rng(21)
         maps = [random_map(n, degree=d, rng=rng)
                 for n in (1, 2, 3) for d in (1, 2, 5, 8)]
-        maps += [PolyMap.entire_1d(node) for node in (
-            EntireNode("exp"),
-            EntireNode("sin"),
-            EntireNode("poly", (0.5, 1.0, 0.25j),
-                       EntireNode("sin", inner=EntireNode("exp"))),
-            EntireNode("exp", inner=EntireNode("poly", (0.1j, 0.0, -0.5))),
-        )]
-
         for f in maps:
             pts = 0.3 * (rng.normal(size=(5, f.n))
                          + 1j * rng.normal(size=(5, f.n)))
@@ -200,10 +191,6 @@ class TestJets:
         eye = np.eye(3, dtype=complex)
         maps = [random_map(n, degree=d, rng=rng)
                 for n in (1, 2, 3) for d in (1, 2, 3, 5, 8)]
-        maps += [PolyMap.entire_1d(EntireNode("exp")),
-                 PolyMap.entire_1d(EntireNode(
-                     "poly", (0.5, 1.0, 0.25j),
-                     EntireNode("sin", inner=EntireNode("exp"))))]
         for f in maps:
             n = f.n
             pts = 0.5 * (rng.normal(size=(8, n))
@@ -282,7 +269,7 @@ class TestJets:
             pts[3, -1] = complex(0.2, -0.0)
             for p in list(pts) + [pts, pts[:1]]:
                 for jacobian in (False, True):
-                    got = _poly_step(f, p, jacobian)
+                    got = _step(f, p, jacobian)
                     want = per_term_step(f, p, jacobian)
                     assert np.array_equal(words(got[0]), words(want[0]))
                     if jacobian:
@@ -520,23 +507,6 @@ class TestEscapeRadius:
             escape_radius(f)
 
 
-class TestEntire:
-    def test_sin_value_and_derivative(self):
-        node = EntireNode(kind="sin")
-        f = PolyMap.entire_1d(node)
-        z = np.array([0.3 + 0.2j])
-        jt = f.jet(z)
-        assert abs(jt.value[0] - np.sin(z[0])) < 1e-12
-        assert abs(jt.jacobian[0, 0] - np.cos(z[0])) < 1e-12
-
-    def test_entire_not_polynomial(self):
-        node = EntireNode(kind="sin")
-        f = PolyMap.entire_1d(node)
-        assert not f.is_polynomial()
-        with pytest.raises(ValueError):
-            escape_radius(f)
-
-
 class TestSerialization:
     def test_round_trip(self):
         for n in (1, 2, 3):
@@ -547,17 +517,17 @@ class TestSerialization:
             p = RNG.normal(size=n) + 1j * RNG.normal(size=n)
             assert np.allclose(f.eval(p), g.eval(p))
 
-    def test_entire_round_trip(self):
-        node = EntireNode(kind="sin")
-        f = PolyMap.entire_1d(node)
-        text = json.dumps(f.to_json_dict())
-        g = PolyMap.from_json_dict(json.loads(text))
-        z = np.array([0.1 + 0.5j])
-        assert np.allclose(f.eval(z), g.eval(z))
-
     def test_bad_json_raises(self):
         with pytest.raises((ValueError, KeyError)):
             PolyMap.from_json_dict({"n": 1})
+        # a key the reader does not know is an error, never skipped: the
+        # basilica z^2 - 1 plus an "entire" key is no polynomial map
+        basilica = PolyMap.from_coeffs_1d([-1, 0, 1]).to_json_dict()
+        for d in ({"n": 1, "entire": {"kind": "sin"}},
+                  {**basilica, "entire": {"kind": "sin"}},
+                  {**basilica, "degree": 2}):
+            with pytest.raises(ValueError, match="unknown map keys"):
+                PolyMap.from_json_dict(d)
 
 
 class TestWindow:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from endolab import PolyMap, Window, find_periodic, orbit
-from endolab.maps import EntireNode, map_kernel
+from endolab.maps import map_kernel
 from endolab.orbits import basin_mask, shell_points
 from endolab.periodic import classify
 from endolab.perturb import hakim_map, monomials
@@ -109,10 +109,6 @@ class TestOrbit:
         rng = np.random.default_rng(21)
         maps = [hakim_map(1), hakim_map(2)]
         maps += [random_map(n, d, rng) for n in (1, 2, 3) for d in (2, 5)]
-        maps += [PolyMap.entire_1d(node) for node in (
-            EntireNode("exp"), EntireNode("sin"),
-            EntireNode("poly", (0.3j, 0.0, 1.0), EntireNode("sin")),
-            EntireNode("exp", EntireNode("poly", (0.5, 0.0, -1.0))))]
         seen = {"step_0": 0, "R": 0, "overflow": 0, "n_max": 0}
         for f in maps:
             starts = [np.full(f.n, -0.2 + 0.01j),

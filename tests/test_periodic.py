@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from endolab import (
-    EntireNode,
     PolyMap,
     Window,
     classify,
@@ -35,16 +34,12 @@ TRI2 = PolyMap.from_terms(2, [[((2, 0), 1), ((0, 0), -0.5)],
 TRI3 = PolyMap.from_terms(3, [[((2, 0, 0), 1), ((0, 0, 0), -0.3)],
                               [((0, 2, 0), 1), ((1, 0, 0), 0.2)],
                               [((0, 0, 2), 1), ((0, 1, 0), 0.1 + 0.1j)]])
-EXP_SIN = PolyMap.entire_1d(EntireNode(  # exp(sin z) - 1/2; f'(0) = 1
-    "poly", coeffs=(-0.5, 1.0), inner=EntireNode("exp",
-                                                 inner=EntireNode("sin"))))
 JOINT_CASES = {  # map -> (window, seed with a singular Newton system)
     "z2": (Z2, W2, 0.5),
     "basilica": (BASILICA, W2, 0.5),
     "cubic": (CUBIC, W2, 0.5),
     "tri2": (TRI2, Window.square(2, -2, 2), (0.5, 0.1j)),
     "tri3": (TRI3, Window.square(3, -2, 2), (0.5, 0.1j, -0.2)),
-    "exp_sin": (EXP_SIN, Window.square(1, -3, 3), 0.0),
 }
 
 
