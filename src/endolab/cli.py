@@ -25,7 +25,8 @@ import numpy as np
 
 from . import __version__
 from .maps import PolyMap, Window, escape_radius
-from . import conley, julia, periodic, perturb, reporting
+# conley and perturb load SciPy: the subcommands that run them import them
+from . import julia, periodic, reporting
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -70,8 +71,19 @@ def _get_map(cfg):
         raise ConfigError(f"bad map spec: {e}") from e
 
 
+def _coords(cfg, key, default):
+    """cfg[key], coordinates: no boolean at any depth (float(True) is 1)."""
+    v = cfg.get(key, default)
+    flat = [v]
+    for x in flat:  # grows as nested lists are met
+        if isinstance(x, bool):
+            raise ConfigError(f"bad value for {key}: {v!r}")
+        flat.extend(x if isinstance(x, list) else ())
+    return v
+
+
 def _get_window(cfg, n, key="window", default_half=2.0):
-    w = cfg.get(key)
+    w = _coords(cfg, key, None)
     if w is None:
         return Window.square(n, -default_half, default_half)
     try:
@@ -98,7 +110,7 @@ def _positive(cfg, key, default, low=0):
 
 def _points(cfg, key, default, n):
     """Config key holding n [re, im] pairs, as an (n,) complex array."""
-    v = cfg.get(key, default)
+    v = _coords(cfg, key, default)
     try:
         p = np.array([complex(re, im) for re, im in v])
     except (TypeError, ValueError):
@@ -152,7 +164,7 @@ def cmd_periodic(args):
 
 
 def _parse_slice(cfg):
-    s = cfg.get("slice")
+    s = _coords(cfg, "slice", None)
     if s is None:
         return ()
     try:
@@ -217,6 +229,7 @@ def cmd_julia(args):
 
 
 def cmd_conley(args):
+    from . import conley
     cfg = _load_config(args)
     f = _get_map(cfg)
     window = _get_window(cfg, f.n)
@@ -247,7 +260,14 @@ def cmd_conley(args):
     return EXIT_OK
 
 
+def _infeasible(e):
+    stage = f" (stage {e.stage})" if e.stage is not None else ""
+    print(f"infeasible: {e}{stage}", file=sys.stderr)
+    return EXIT_INFEASIBLE
+
+
 def cmd_perturb(args):
+    from . import perturb
     cfg = _load_config(args)
     f = _get_map(cfg)
     op = cfg.get("operation", "make_periodic")
@@ -262,7 +282,10 @@ def cmd_perturb(args):
             raise ConfigError(f"unknown kind {kind!r}")
         if kind == "saddle" and f.n < 2:
             raise ConfigError("saddle cycles need dimension >= 2")
-        res = perturb.make_periodic_point(f, q, m, kind, window, budget)
+        try:
+            res = perturb.make_periodic_point(f, q, m, kind, window, budget)
+        except perturb.InfeasibleError as e:
+            return _infeasible(e)
         ver = {
             "kind": res["cycle"].klass,
             "period": res["cycle"].period,
@@ -275,7 +298,7 @@ def cmd_perturb(args):
         produced = res["h"]
     elif op == "escaping":
         q = _points(cfg, "q", [[1.1, 0.0]] * f.n, f.n)
-        radii = cfg.get("radii", [2.0, 3.0, 4.0, 5.0])
+        radii = _coords(cfg, "radii", [2.0, 3.0, 4.0, 5.0])
         if not isinstance(radii, list) or not 2 <= len(radii) <= 7:
             raise ConfigError("radii must list 2 to 7 window radii")
         eps = _positive(cfg, "eps", 1.0)
@@ -287,8 +310,11 @@ def cmd_perturb(args):
             raise ConfigError("radii must strictly increase")
         if not windows[0].contains(q):
             raise ConfigError("q must lie in the first window")
-        res = perturb.escaping_construction(f, q, windows, eps, budget,
-                                            seed=int(cfg["seed"]))
+        try:
+            res = perturb.escaping_construction(f, q, windows, eps, budget,
+                                                seed=int(cfg["seed"]))
+        except perturb.InfeasibleError as e:
+            return _infeasible(e)
         ver = {
             "m": res["m"],
             "stage_norms": res["stage_norms"],
@@ -309,6 +335,7 @@ def cmd_perturb(args):
 
 
 def cmd_hakim(args):
+    from . import perturb
     cfg = _load_config(args)
     dim = _positive(cfg, "dim", 1)
     if dim > 2:
@@ -381,11 +408,6 @@ def main(argv=None):
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
-    except perturb.InfeasibleError as e:
-        stage = getattr(e, "stage", None)
-        extra = f" (stage {stage})" if stage is not None else ""
-        print(f"infeasible: {e}{extra}", file=sys.stderr)
-        return EXIT_INFEASIBLE
 
 
 if __name__ == "__main__":

@@ -272,12 +272,7 @@ def close_orbit(f, q, m, prescribed_jac, K, budget):
     cycle's multiplier matrix is prescribed_jac . D(f^m)(q).
     """
     q = np.asarray(q, dtype=complex).reshape(f.n)
-    return _close_orbit(f, q, m, f.iterated_jet(q, m), prescribed_jac, K,
-                        budget)
-
-
-def _close_orbit(f, q, m, jt, prescribed_jac, K, budget):
-    """`close_orbit` given jt = f.iterated_jet(q, m)."""
+    jt = f.iterated_jet(q, m)
     orbit, jets = [q], []
     for _ in range(m):  # a jet's value has the bits of f.eval
         jets.append(f.jet(orbit[-1]))
@@ -315,17 +310,16 @@ def make_periodic_point(f, q, m, kind, K, budget):
     if kind == "saddle" and f.n < 2:
         raise ValueError("saddle cycles need dimension >= 2")
     q = np.asarray(q, dtype=complex).reshape(f.n)
-    jt = f.iterated_jet(q, m)
     if kind == "super_attracting":
         pj = np.zeros((f.n, f.n), dtype=complex)
     else:
-        inv = np.linalg.inv(jt.jacobian)
+        inv = np.linalg.inv(f.iterated_jet(q, m).jacobian)
         if kind == "repelling":
             pj = 10.0 * inv
         else:
             diag = np.diag([0.5, 2.0, 4.0][: f.n]).astype(complex)
             pj = diag @ inv
-    out = _close_orbit(f, q, m, jt, pj, K, budget)
+    out = close_orbit(f, q, m, pj, K, budget)
     if out["cycle"].klass != kind:
         raise InfeasibleError(
             f"requested {kind} but produced {out['cycle'].klass}"

@@ -33,28 +33,25 @@ import json
 
 import numpy as np
 
-from endolab import (
-    InfeasibleError,
-    PolyMap,
-    Window,
+from endolab.cli import main as cli_main
+from endolab.conley import build_box_map, hurley_report, lyapunov, morse_graph
+from endolab.julia import (
     boundary_extract,
-    build_box_map,
-    close_orbit,
-    eigenvalues,
+    directed_distance,
     escape_grid,
-    escaping_construction,
-    find_periodic,
-    hakim_experiment,
     hausdorff,
-    hurley_report,
-    lyapunov,
-    make_periodic_point,
-    morse_graph,
     repeller_cloud,
 )
-from endolab.cli import main as cli_main
-from endolab.julia import directed_distance
-from endolab.perturb import monomials
+from endolab.maps import PolyMap, Window
+from endolab.periodic import eigenvalues, find_periodic
+from endolab.perturb import (
+    InfeasibleError,
+    close_orbit,
+    escaping_construction,
+    hakim_experiment,
+    make_periodic_point,
+    monomials,
+)
 from conftest import record_criterion
 from test_conley import basilica_basin_violations, brute_scc, julia_class
 from test_maps import fd_jacobian

@@ -162,12 +162,23 @@ class TestPerturb:
         for s, nm in enumerate(ver["stage_norms"]):
             assert nm <= eps / 2 ** (s + 1)
 
-    def test_infeasible_exit_code(self, tmp_path, mapfile):
-        out = tmp_path / "out"
-        rc = main(["perturb", "--map", mapfile(BASILICA), "--out", str(out),
+    def test_infeasible_exit_code(self, tmp_path, mapfile, capsys):
+        # q = 0.05 is in the basilica's Fatou set: its orbit never leaves
+        # the first window, which the escaping construction finds at stage 0
+        rc = main(["perturb", "--map", mapfile(BASILICA),
+                   "--out", str(tmp_path / "esc"),
                    "--set", "operation", "escaping",
                    "--set", "q", "[[0.05, 0.0]]"])
         assert rc == 3
+        err = capsys.readouterr().err
+        assert err.startswith("infeasible: ") and "(stage 0)" in err
+        # one monomial cannot meet the orbit's jet constraints
+        rc = main(["perturb", "--map", mapfile(Z2),
+                   "--out", str(tmp_path / "mp"),
+                   "--set", "q", "[[0.41, 0.13]]", "--set", "m", "2",
+                   "--set", "budget", "1"])
+        assert rc == 3
+        assert capsys.readouterr().err.startswith("infeasible: ")
 
 
 class TestHakim:
@@ -283,6 +294,11 @@ class TestErrors:
         ("periodic", "m_max", "true"),
         ("julia", "R", "true"),
         ("hakim", "dim", "true"),
+        # nor is it a coordinate: complex(true, false) is 1
+        ("periodic", "window", "[[false, true], [-1, 1]]"),
+        ("perturb", "K", "[[-2, 2], [-2, true]]"),
+        ("perturb", "q", "[[true, false]]"),
+        ("hakim", "start", "[[-0.2, false]]"),
     ])
     def test_bad_subcommand_value_is_config_error(self, tmp_path, mapfile,
                                                   cmd, key, value):
@@ -290,7 +306,8 @@ class TestErrors:
                    "--out", str(tmp_path / "o"), "--set", key, value])
         assert rc == 2
 
-    @pytest.mark.parametrize("value", ['"nan,0"', '[1e400, 0]'])
+    # a bool is no coordinate either: float(true) is 1
+    @pytest.mark.parametrize("value", ['"nan,0"', '[1e400, 0]', '[true, 0]'])
     def test_non_finite_slice_is_config_error(self, tmp_path, mapfile, value):
         rc = main(["julia", "--map", mapfile(SQUARES_2D),
                    "--out", str(tmp_path / "o"), "--set", "res", "16",
@@ -371,9 +388,14 @@ class TestErrors:
         [("q", "[[1e400, 0]]")],
         [("q", "[[NaN, 0]]")],
         [("operation", '"escaping"'), ("eps", "1e400")],
+        # a bool is no coordinate: complex(true, false) is 1
+        [("operation", '"escaping"'), ("q", "[[true, false]]")],
+        [("operation", '"escaping"'), ("q", "[[0.9, 0.5]]"),
+         ("radii", "[true, 3, 4, 5]")],
     ], ids=["saddle_1d", "q_length", "q_outside", "one_radius",
             "radii_decrease", "radii_repeat", "eps_string", "K_bounds",
-            "radii_infinite", "q_infinite", "q_nan", "eps_infinite"])
+            "radii_infinite", "q_infinite", "q_nan", "eps_infinite",
+            "q_bool", "radii_bool"])
     def test_bad_perturb_value_is_config_error(self, tmp_path, mapfile,
                                                overrides):
         argv = ["perturb", "--map", mapfile(Z2), "--out", str(tmp_path / "o")]

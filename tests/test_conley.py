@@ -6,26 +6,21 @@ import numpy as np
 import pytest
 from scipy.sparse import csr_array
 
-from endolab import (
-    PolyMap,
-    Window,
-    attractors,
-    build_box_map,
-    conley,
-    hurley_report,
-    lyapunov,
-    morse_graph,
-)
+from endolab import conley
 from endolab.conley import (
-    _LAPY_RANGE,
     INFINITY,
     BoxGrid,
     _operator_norms,
+    attractors,
+    build_box_map,
+    hurley_report,
+    lyapunov,
+    morse_graph,
     morse_to_dot,
     recurrent_mask,
     strong_components,
 )
-from endolab.maps import map_kernel
+from endolab.maps import PolyMap, Window, map_kernel
 
 BASILICA = PolyMap.from_coeffs_1d([-1, 0, 1])
 HALF = PolyMap.from_coeffs_1d([0, 0.5])
@@ -234,44 +229,12 @@ class TestTarjan:
 
 
 class TestOperatorNorms:
-    def test_matches_svd_word_for_word(self):
-        # a 1 x 1 norm skips the SVD inside _LAPY_RANGE: compare at scales
-        # inside it, at both of its ends and past them, where LAPACK
-        # rescales the matrix and the SVD itself runs
-        rng = np.random.default_rng(71)
-        lo, hi = _LAPY_RANGE
-        parts = rng.uniform(-1, 1, size=(2, 4000))
-        parts[1, :500] = 0.0  # real and imaginary entries
-        parts[0, 500:1000] = 0.0
-        parts[:, 1000:1007] = [[1, -1, 0, 0, 1, 0.5, -1],
-                               [0, 0, 1, -1, 1, -1, 1e-170]]
-        parts /= np.abs(parts).max(axis=0)  # w = 1, the ends exactly
-        spread = rng.uniform(1, 1e3, 4000)
-
-        def matrices(re, im):
-            z = np.empty(len(re), dtype=complex)
-            z.real, z.imag = re, im
-            return z.reshape(-1, 1, 1)
-
-        def check(jac):
-            want = np.linalg.svd(jac, compute_uv=False).max(axis=-1)
-            assert np.array_equal(_operator_norms(jac).view(np.int64),
-                                  want.view(np.int64))
-
-        for scale in (lo, 1e-20, 1.0, 1e20, hi):
-            for re, im in (parts * scale, parts * (scale * spread
-                                                   if scale < 1 else
-                                                   scale / spread)):
-                w = np.maximum(np.abs(re), np.abs(im))
-                assert w.min() >= lo and w.max() <= hi
-                check(matrices(re, im))
-        for re, im in (parts * lo / 8, parts * hi * 8, np.zeros((2, 3))):
-            check(matrices(re, im))
-
     def test_2x2_within_2e_15_of_svd(self):
-        # the Gram form does not give the SVD's bits, only its value to a
-        # few units in the last place; a subnormal norm carries fewer bits,
-        # so there the bound is one unit in its last place
+        # neither |J| (1 x 1) nor the Gram form (2 x 2) gives the SVD's
+        # bits, only its value to a few units in the last place; a
+        # subnormal norm carries fewer bits, so there the bound is one unit
+        # in its last place.  The scales include 1e-130 and 1e130 and
+        # points past them, where LAPACK rescales a 1 x 1 matrix
         rng = np.random.default_rng(72)
 
         def normal(*shape):
@@ -287,14 +250,21 @@ class TestOperatorNorms:
                               np.stack([-t.conj(), np.ones(500)], -1)], 1)
         conformal = (normal(500)[:, None, None] * conformal
                      + 1e-9 * normal(500, 2, 2))
+        one = rng.uniform(-1, 1, size=(2, 4000))
+        one[1, :500] = 0.0  # real and imaginary entries
+        one[0, 500:1000] = 0.0
+        one /= np.abs(one).max(axis=0)  # max(|Re J|, |Im J|) = 1
         families = {
+            "1 x 1 zero": np.zeros((3, 1, 1), dtype=complex),
+            "1 x 1": (one[0] + 1j * one[1]).reshape(-1, 1, 1),
             "zero": np.zeros((3, 2, 2), dtype=complex),
             "rank 1": normal(500, 2, 1) * normal(500, 1, 2),
             "diagonal |z| = |w|": diag,
             "nearly conformal": conformal,
             "random": normal(2000, 2, 2),
         }
-        for scale in (1e-310, 1e-150, 1.0, 1e150, 1e300):
+        for scale in (1e-310, 1e-150, 1e-130 / 8, 1e-130, 1.0, 1e130,
+                      1e130 * 8, 1e150, 1e300):
             for name, jac in families.items():
                 jac = jac * scale
                 got = _operator_norms(jac)
@@ -303,28 +273,40 @@ class TestOperatorNorms:
                 assert np.all(np.abs(got - want) <= bound), (scale, name)
                 assert np.array_equal(got == 0, want == 0), (scale, name)
 
-    @pytest.mark.parametrize("pad_mode", ["jacobian", "subcell:2"])
-    @pytest.mark.parametrize("c1,c2,eps", [
-        (0.2 + 0.1j, -0.1 + 0.2j, 0.03 + 0.01j),
-        (-0.15 - 0.25j, 0.22 - 0.05j, -0.02 + 0.04j)], ids=["first", "second"])
-    def test_2d_box_maps_keep_the_svd_edges(self, monkeypatch, c1, c2, eps,
+    @pytest.mark.parametrize("case,pad_mode", [
+        (case, mode) for case in ("first", "second")
+        for mode in ("jacobian", "subcell:2")
+    ] + [("cardioid", "jacobian"), ("basilica", "subcell:2")])
+    def test_2d_box_maps_keep_the_svd_edges(self, monkeypatch, case,
                                             pad_mode):
         # (z^2 + c1 + eps w, w^2 + c2) on [-1.75, 1.75]^4 at depth 3, as in
         # the benchmark's 2-D Conley jobs (which pad in the CLI's default
-        # `jacobian` mode): the Gram form's last bits move no edge against
-        # the SVD's
+        # `jacobian` mode), and z^2 + c on [-1.75, 1.75]^2, a cardioid c at
+        # depth 7 as in its 1-D ones and c = -1 at depth 6: neither |J|'s
+        # nor the Gram form's last bits move an edge against the SVD's
         def term(exps, c):
             return {"exps": exps, "re": c.real, "im": c.imag}
 
-        f = PolyMap.from_json_dict({"n": 2, "components": [
-            [term([2, 0], 1), term([0, 0], c1), term([0, 1], eps)],
-            [term([0, 2], 1), term([0, 0], c2)]]})
-        win = Window.square(2, -1.75, 1.75)
-        got = build_box_map(f, win, 3, pad_mode=pad_mode)
+        if case in ("first", "second"):
+            c1, c2, eps = {
+                "first": (0.2 + 0.1j, -0.1 + 0.2j, 0.03 + 0.01j),
+                "second": (-0.15 - 0.25j, 0.22 - 0.05j, -0.02 + 0.04j),
+            }[case]
+            f = PolyMap.from_json_dict({"n": 2, "components": [
+                [term([2, 0], 1), term([0, 0], c1), term([0, 1], eps)],
+                [term([0, 2], 1), term([0, 0], c2)]]})
+            win, depth = Window.square(2, -1.75, 1.75), 3
+        else:
+            # c = lam/2 - lam^2/4 for the fixed point's multiplier lam = i/2
+            c, depth = {"cardioid": (0.0625 + 0.25j, 7),
+                        "basilica": (-1.0, 6)}[case]
+            f = PolyMap.from_coeffs_1d([c, 0, 1])
+            win = Window.square(1, -1.75, 1.75)
+        got = build_box_map(f, win, depth, pad_mode=pad_mode)
         monkeypatch.setattr(
             conley, "_operator_norms",
             lambda jac: np.linalg.svd(jac, compute_uv=False).max(axis=-1))
-        want = build_box_map(f, win, 3, pad_mode=pad_mode)
+        want = build_box_map(f, win, depth, pad_mode=pad_mode)
         assert np.array_equal(got.indptr, want.indptr)
         assert np.array_equal(got.indices, want.indices)
 

@@ -3,21 +3,17 @@
 import numpy as np
 import pytest
 
-from endolab import (
-    PolyMap,
-    Window,
+from endolab import julia
+from endolab.julia import (
     boundary_extract,
+    dedup_points,
+    directed_distance,
     escape_grid,
+    grid_to_pgm,
     hausdorff,
     repeller_cloud,
 )
-from endolab import julia
-from endolab.maps import map_kernel
-from endolab.julia import (
-    dedup_points,
-    directed_distance,
-    grid_to_pgm,
-)
+from endolab.maps import PolyMap, Window, map_kernel
 
 Z2 = PolyMap.from_coeffs_1d([0, 0, 1])
 BASILICA = PolyMap.from_coeffs_1d([-1, 0, 1])

@@ -11,13 +11,16 @@ import pytest
 
 import endolab
 from endolab import maps
-from endolab import (
+from endolab.maps import (
     MapOverflowError,
     PolyMap,
     Window,
+    _step,
     escape_radius,
+    halton,
+    map_kernel,
+    sup_norm,
 )
-from endolab.maps import _step, halton, map_kernel, sup_norm
 
 RNG = np.random.default_rng(1234)
 
@@ -588,8 +591,10 @@ class TestHalton:
         # importing scipy.stats costs most of a CLI process's start-up
         code = "\n".join([
             "import sys",
-            "import endolab.cli",
-            "from endolab import PolyMap, Window, build_box_map, find_periodic",
+            "import endolab.cli, endolab.perturb",
+            "from endolab.conley import build_box_map",
+            "from endolab.maps import PolyMap, Window",
+            "from endolab.periodic import find_periodic",
             "f = PolyMap.from_coeffs_1d([-1.0, 0.0, 1.0])",
             "w = Window.square(1, -2.0, 2.0)",
             "w.sample(16, seed=0)",
@@ -602,3 +607,32 @@ class TestHalton:
         out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                              capture_output=True, text=True, timeout=120)
         assert out.stdout.strip() == "[]"
+
+    def test_periodic_and_julia_do_not_import_scipy(self, tmp_path):
+        # conley loads scipy.sparse and perturb scipy.linalg; the periodic
+        # and julia subcommands run on NumPy alone, and the package imports
+        # no module of its own
+        mapfile = tmp_path / "basilica.json"
+        mapfile.write_text(json.dumps(
+            PolyMap.from_coeffs_1d([-1, 0, 1]).to_json_dict()))
+        code = "\n".join([
+            "import sys",
+            "import endolab",
+            "print(sorted(m for m in sys.modules if m.startswith('endolab.')))",
+            "from endolab.cli import main",
+            "mapfile, out = sys.argv[1:]",
+            "small = ['--set', 'm_max', '2', '--set', 'seeds', '16']",
+            "assert main(['periodic', '--map', mapfile, '--out', out + '/p']"
+            " + small) == 0",
+            "assert main(['julia', '--map', mapfile, '--out', out + '/j',"
+            " '--set', 'res', '16'] + small) == 0",
+            "heavy = ('scipy.sparse', 'scipy.linalg', 'endolab.conley',"
+            " 'endolab.perturb')",
+            "print(sorted(m for m in heavy if m in sys.modules))",
+        ])
+        src = os.path.dirname(os.path.dirname(endolab.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run(
+            [sys.executable, "-c", code, str(mapfile), str(tmp_path)],
+            env=env, check=True, capture_output=True, text=True, timeout=120)
+        assert out.stdout.split("\n")[:2] == ["[]", "[]"]

@@ -3,10 +3,9 @@
 import numpy as np
 import pytest
 
-from endolab import PolyMap, Window, find_periodic, orbit
-from endolab.maps import map_kernel
-from endolab.orbits import basin_mask, shell_points
-from endolab.periodic import classify
+from endolab.maps import PolyMap, Window, map_kernel
+from endolab.orbits import basin_mask, orbit, shell_points
+from endolab.periodic import classify, find_periodic
 from endolab.perturb import hakim_map, monomials
 
 Z2 = PolyMap.from_coeffs_1d([0, 0, 1])

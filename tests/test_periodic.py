@@ -3,14 +3,7 @@
 import numpy as np
 import pytest
 
-from endolab import (
-    PolyMap,
-    Window,
-    classify,
-    eigenvalues,
-    find_periodic,
-)
-from endolab.maps import map_kernel, sup_norm
+from endolab.maps import PolyMap, Window, map_kernel, sup_norm
 from endolab.periodic import (
     DEDUP_TOL,
     SUPER_TOL,
@@ -18,8 +11,11 @@ from endolab.periodic import (
     Cycle,
     _collect_cycles,
     _newton_batch,
+    classify,
     classify_multipliers,
     cycles_to_csv,
+    eigenvalues,
+    find_periodic,
     hyperbolicity_report,
 )
 

@@ -3,22 +3,19 @@
 import numpy as np
 import pytest
 
-from endolab import (
+from endolab.maps import PolyMap, Window
+from endolab.perturb import (
     InfeasibleError,
-    PolyMap,
-    Window,
+    JetConstraint,
+    _delta_map,
+    _monomial_table,
     close_orbit,
     escaping_construction,
     hakim_experiment,
     interpolate_correction,
     make_periodic_point,
-    random_perturbation,
-)
-from endolab.perturb import (
-    JetConstraint,
-    _delta_map,
-    _monomial_table,
     monomials,
+    random_perturbation,
     sampled_sup_norm,
 )
 
