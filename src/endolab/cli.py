@@ -99,8 +99,8 @@ def _positive(cfg, key, default, low=0):
     v = cfg.get(key, default)
     try:
         x = type(default)(v)
-        if isinstance(v, bool) or isinstance(v, float) and x != v:
-            raise ValueError  # a bool is no number; int() truncates 2.7
+        if isinstance(v, (bool, str)) or isinstance(v, float) and x != v:
+            raise ValueError  # a bool or str is no number; int(2.7) is 2
     except (TypeError, ValueError, OverflowError):  # int(inf) overflows
         raise ConfigError(f"bad value for {key}: {v!r}") from None
     if not low < x < float("inf"):  # NaN too

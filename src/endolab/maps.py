@@ -147,6 +147,8 @@ class PolyMap:
     def from_json_dict(d):
         """The map of a `to_json_dict` document.  Any other top-level key
         is a ValueError, so that no part of a document goes unread."""
+        if not isinstance(d, dict):
+            raise ValueError("a map is a JSON object")
         extra = set(d) - {"n", "components"}
         if extra:
             raise ValueError(f"unknown map keys {sorted(extra, key=str)}")

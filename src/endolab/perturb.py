@@ -11,10 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Optional
 
 import numpy as np
-import scipy.linalg
 
 from .julia import dedup_points
 from .maps import PolyMap, map_kernel, sup_norm
@@ -32,23 +30,7 @@ class InfeasibleError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class JetConstraint:
-    at: np.ndarray  # (n,) complex
-    value: np.ndarray  # (n,) complex, target of (f + delta)
-    jacobian: Optional[np.ndarray] = None  # (n, n) complex target, optional
-
-    @staticmethod
-    def make(at, value, jacobian=None):
-        at = np.asarray(at, dtype=complex).reshape(-1)
-        value = np.asarray(value, dtype=complex).reshape(-1)
-        jac = None if jacobian is None else np.asarray(jacobian, dtype=complex)
-        return JetConstraint(at=at, value=value, jacobian=jac)
-
-
-@dataclass(frozen=True)
 class Correction:
-    base: PolyMap
-    delta: PolyMap
     corrected: PolyMap
     sup_norm_on_K: float
     constraint_residual: float
@@ -86,16 +68,16 @@ def _monomial_table(pts, basis, jacobian):
     return values, derivs
 
 
-def _jet_rows(values, jacobians, pinned):
+def _jet_rows(values, jacobians):
     """Constraint rows in their layout: per point its value row, then,
-    where the Jacobian is pinned, its n rows d/dz_j, j = 0..n-1.
+    unless `jacobians` is None, its n rows d/dz_j, j = 0..n-1.
 
     values (N, K) and jacobians (N, K, n), for K outputs -> rows (R, K).
     """
+    if jacobians is None:
+        return values
     rows = np.concatenate([values[:, None], jacobians.transpose(0, 2, 1)], 1)
-    keep = np.ones(rows.shape[:2], dtype=bool)
-    keep[:, 1:] = pinned[:, None]
-    return rows[keep]
+    return rows.reshape(-1, values.shape[1])
 
 
 def _add_terms(pmap, basis, coeffs):
@@ -132,17 +114,18 @@ def sampled_sup_norm(delta, K, samples=SUP_NORM_SAMPLES, seed=0):
     return float(np.abs(vals).max())
 
 
-def interpolate_correction(f, constraints, degree_budget, K,
+def interpolate_correction(f, at, value, jacobian, degree_budget, K,
                            seed=0, minimize="coeff", suppress_points=()):
-    """Least-norm coefficient correction meeting value/1-jet constraints.
+    """Least-norm coefficient correction h - f with h(at) = value and, unless
+    `jacobian` is None, Dh(at) = jacobian.
 
-    The linear system decouples per component (each component of the
-    correction uses the same monomial basis).  `_monomial_table` gives
-    the basis values and derivatives at the constraint points, and
-    `_jet_rows` lays them out: per point a value row, then n derivative
-    rows where the Jacobian is pinned.  The right-hand side (target jet
-    minus f's) and the re-verification of the built delta use the same
-    layout.  The system is solved by
+    `at` and `value` are (N, n), `jacobian` (N, n, n) with row i the
+    gradient of component i.  The linear system decouples per component
+    (each component of the correction uses the same monomial basis).
+    `_monomial_table` gives the basis values and derivatives at the
+    points, and `_jet_rows` lays them out.  The right-hand side (target
+    jet minus f's) and the re-verification of the built delta use the
+    same layout.  The system is solved by
     column-pivoted QR (complete orthogonal factorization), which yields
     the minimum-norm solution of an underdetermined consistent system.
 
@@ -154,27 +137,24 @@ def interpolate_correction(f, constraints, degree_budget, K,
     `suppress_points` (typically outside K) join that objective, keeping
     the correction at sup-level there without the cost of a hard zero.
     """
+    import scipy.linalg  # here, so that hakim_experiment loads no SciPy
+
     n = f.n
     basis = monomials(n, degree_budget)
-    if not constraints:
-        delta = _delta_map(n, basis, np.zeros((len(basis), n)))
-        return Correction(base=f, delta=delta, corrected=f,
-                          sup_norm_on_K=0.0, constraint_residual=0.0,
-                          coeff_norm=0.0, condition_number=1.0)
-    pts = np.array([c.at for c in constraints], dtype=complex).reshape(-1, n)
+    pts = np.asarray(at, dtype=complex).reshape(-1, n)
+    if not len(pts):
+        raise ValueError("no constraint points given")
     if len(dedup_points(pts)) < len(pts):
         raise ValueError("constraint points must be pairwise distinct")
 
-    pinned = np.array([c.jacobian is not None for c in constraints])
-    A = _jet_rows(*_monomial_table(pts, basis, True), pinned)
+    pinned = jacobian is not None
+    A = _jet_rows(*_monomial_table(pts, basis, pinned))
     # right-hand side: what delta must contribute on top of f
     jt = f.jet(pts)
-    want = np.array([c.value for c in constraints], dtype=complex)
-    want_jac = np.array([np.zeros((n, n)) if c.jacobian is None
-                         else c.jacobian for c in constraints], dtype=complex)
-    B = _jet_rows(want.reshape(-1, n) - jt.value,
-                  want_jac.reshape(-1, n, n) - jt.jacobian,
-                  pinned)  # (rows, n); column i is component i's rhs
+    if pinned:  # a reshape to N points also checks the count
+        jacobian = np.reshape(jacobian, (len(pts), n, n)) - jt.jacobian
+    # (rows, n); column i is component i's rhs
+    B = _jet_rows(np.reshape(value, pts.shape) - jt.value, jacobian)
 
     if A.shape[0] > A.shape[1]:
         raise InfeasibleError(
@@ -243,7 +223,7 @@ def interpolate_correction(f, constraints, degree_budget, K,
     # can be solved while the evaluated polynomial loses the constraints
     # to cancellation in its large coefficients
     jt = delta.jet(pts)
-    got = _jet_rows(jt.value, jt.jacobian, pinned)
+    got = _jet_rows(jt.value, jt.jacobian if pinned else None)
     viol = float((np.abs(got - B) / (1.0 + np.abs(B))).max())
     residual = max(residual, viol)
     if viol > 1e-8:
@@ -253,8 +233,8 @@ def interpolate_correction(f, constraints, degree_budget, K,
             "change degree_budget"
         )
     sup = sampled_sup_norm(delta, K, seed=seed)
-    return Correction(base=f, delta=delta, corrected=corrected,
-                      sup_norm_on_K=sup, constraint_residual=residual,
+    return Correction(corrected=corrected, sup_norm_on_K=sup,
+                      constraint_residual=residual,
                       coeff_norm=float(np.linalg.norm(x)),
                       condition_number=cond)
 
@@ -285,10 +265,9 @@ def close_orbit(f, q, m, prescribed_jac, K, budget):
     prescribed_jac = np.asarray(prescribed_jac, dtype=complex).reshape(
         f.n, f.n
     )
-    cons = [JetConstraint.make(p, jp.value, jp.jacobian)
-            for p, jp in zip(orbit, jets)]
-    cons.append(JetConstraint.make(orbit[m], q, prescribed_jac))
-    corr = interpolate_correction(f, cons, budget, K)
+    corr = interpolate_correction(
+        f, orbit, orbit[1:] + [q],
+        [jp.jacobian for jp in jets] + [prescribed_jac], budget, K)
     h = corr.corrected
     cycle_pts = orbit[: m + 1]
     cyc = classify(h, cycle_pts)
@@ -385,14 +364,14 @@ def escaping_construction(f, q, windows, eps, budget, seed=0):
     h = f
     stage_norms = []
     for s in range(N):
-        cons = [JetConstraint.make(p, h.eval(p)) for p in interior]
-        cons += [JetConstraint.make(e[t], h.eval(e[t])) for t in range(s)]
-        cons.append(JetConstraint.make(e[s], e[s + 1]))
+        # the orbit so far keeps its h-images; e[s] goes to e[s + 1]
+        at = np.array(interior + e[: s + 1])
+        value = np.concatenate([h.eval(at[:-1]), [e[s + 1]]])
         future = [e[t] for t in range(s + 1, N)]
         try:
-            corr = interpolate_correction(h, cons, budget, windows[s],
-                                          seed=seed + s, minimize="sup",
-                                          suppress_points=future)
+            corr = interpolate_correction(
+                h, at, value, None, budget, windows[s], seed=seed + s,
+                minimize="sup", suppress_points=future)
         except InfeasibleError as exc:
             raise InfeasibleError(f"stage {s} infeasible at budget {budget}",
                                   stage=s) from exc

@@ -201,20 +201,24 @@ class TestErrors:
     @pytest.mark.parametrize("text", [
         "{not json",
         "[1, 2]",
+        '"abc"',
         '{"n": 1, "components": 5}',
         '{"n": 1, "components": [[5]]}',
         # a map is a polynomial term table and nothing else
         '{"n": 1, "entire": {"kind": "sin"}}',
         json.dumps({**BASILICA, "entire": {"kind": "sin"}}),
-    ], ids=["not_json", "list", "int_components", "int_term", "entire",
-            "basilica_entire"])
-    def test_bad_map_file_is_config_error(self, tmp_path, text):
+    ], ids=["not_json", "list", "string", "int_components", "int_term",
+            "entire", "basilica_entire"])
+    def test_bad_map_file_is_config_error(self, tmp_path, capsys, text):
         bad = tmp_path / "bad.json"
         bad.write_text(text)
         rc = main(["periodic", "--map", str(bad),
                    "--out", str(tmp_path / "o"),
                    "--set", "m_max", "1", "--set", "seeds", "16"])
         assert rc == 2
+        if text[0] in '["':  # not read as a list of keys
+            err = capsys.readouterr().err
+            assert err.endswith("bad map spec: a map is a JSON object\n")
 
     def test_number_as_map_is_config_error(self, tmp_path):
         # open(0) would read the map from stdin: a map spec is a JSON
@@ -299,6 +303,9 @@ class TestErrors:
         ("perturb", "K", "[[-2, 2], [-2, true]]"),
         ("perturb", "q", "[[true, false]]"),
         ("hakim", "start", "[[-0.2, false]]"),
+        # a setting is a JSON number: float("3") and int("2") would pass
+        ("julia", "R", '"3"'),
+        ("periodic", "m_max", '"2"'),
     ])
     def test_bad_subcommand_value_is_config_error(self, tmp_path, mapfile,
                                                   cmd, key, value):
@@ -322,9 +329,10 @@ class TestErrors:
         ["--set", "seed", "-1"],  # default_rng raises on a negative seed
         ["--seed", "-5"],
         ["--set", "seed", '"abc"'],
+        ["--set", "seed", '"5"'],  # int("5") would pass
         ["--set", "seed", "1e400"],
     ], ids=["fraction", "bool", "negative", "negative_flag", "string",
-            "infinite"])
+            "string_number", "infinite"])
     def test_bad_seed_is_config_error(self, tmp_path, mapfile, cmd, seed):
         argv = [cmd, "--map", mapfile(BASILICA), "--out", str(tmp_path / "o"),
                 "--set", "m_max", "1", "--set", "seeds", "16"] + seed

@@ -636,3 +636,21 @@ class TestHalton:
             [sys.executable, "-c", code, str(mapfile), str(tmp_path)],
             env=env, check=True, capture_output=True, text=True, timeout=120)
         assert out.stdout.split("\n")[:2] == ["[]", "[]"]
+
+    def test_hakim_does_not_import_scipy(self, tmp_path):
+        # the parabolic experiment runs on NumPy alone; perturb imports
+        # scipy.linalg only inside interpolate_correction
+        code = "\n".join([
+            "import sys",
+            "from endolab.cli import main",
+            "assert main(['hakim', '--out', sys.argv[1], '--set', 'dim', '2',"
+            " '--set', 'steps', '100']) == 0",
+            "print(sorted(m for m in sys.modules"
+            " if m.split('.')[0] == 'scipy'))",
+        ])
+        src = os.path.dirname(os.path.dirname(endolab.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", code, str(tmp_path)],
+                             env=env, check=True, capture_output=True,
+                             text=True, timeout=120)
+        assert out.stdout.strip() == "[]"

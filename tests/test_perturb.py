@@ -6,7 +6,6 @@ import pytest
 from endolab.maps import PolyMap, Window
 from endolab.perturb import (
     InfeasibleError,
-    JetConstraint,
     _delta_map,
     _monomial_table,
     close_orbit,
@@ -71,73 +70,99 @@ class TestMonomialTable:
             assert (alone.view(np.int64) == want_v.view(np.int64)).all()
 
 
+QUAD_2D = PolyMap.from_terms(2, (
+    (((2, 0), 1.0 + 0j), ((0, 1), 0.3 + 0j)),
+    (((0, 2), 1.0 + 0j), ((1, 0), 0.2 + 0j)),
+))
+QUAD_3D = PolyMap.from_terms(3, (
+    (((2, 0, 0), 1.0 + 0j), ((0, 1, 0), 0.3 + 0j)),
+    (((0, 2, 0), 1.0 + 0j), ((0, 0, 1), -0.2 + 0.1j)),
+    (((0, 0, 2), 1.0 + 0j), ((1, 0, 0), 0.4 + 0j), ((0, 0, 0), 0.1j)),
+))
+
+
 class TestInterpolateCorrection:
     def test_pinning_fidelity(self):
-        # a value+jet constraint is met to near machine accuracy
-        at = np.array([0.4 + 0.2j])
-        tgt = np.array([-0.3 + 0.1j])
-        jac = np.array([[1.5 - 0.5j]])
-        corr = interpolate_correction(
-            Z2, [JetConstraint.make(at, tgt, jac)], 6, K)
-        jt = corr.corrected.jet(at)
-        assert np.abs(jt.value - tgt).max() < 1e-10
-        assert np.abs(jt.jacobian - jac).max() < 1e-10
-        assert corr.constraint_residual < 1e-8
+        # value+jet constraints are met to near machine accuracy; row i of
+        # a target Jacobian is component i's gradient, and the 2-D and 3-D
+        # targets are not symmetric, so a transposed derivative-row layout
+        # fails
+        for f, points, budget in ((Z2, 1, 6), (QUAD_2D, 3, 5),
+                                  (QUAD_3D, 2, 4)):
+            rng = np.random.default_rng(f.n)
+            at, tgt = (rng.uniform(-0.6, 0.6, (2, points, f.n))
+                       + 1j * rng.uniform(-0.6, 0.6, (2, points, f.n)))
+            jac = (rng.uniform(-2, 2, (points, f.n, f.n))
+                   + 1j * rng.uniform(-2, 2, (points, f.n, f.n)))
+            if f.n > 1:
+                skew = np.abs(jac - jac.transpose(0, 2, 1)).max(axis=(1, 2))
+                assert skew.min() > 0.1
+            corr = interpolate_correction(f, at, tgt, jac, budget,
+                                          Window.square(f.n, -1.5, 1.5))
+            jt = corr.corrected.jet(at)
+            assert np.abs(jt.value - tgt).max() < 1e-10
+            assert np.abs(jt.jacobian - jac).max() < 1e-10
+            assert corr.constraint_residual < 1e-8
 
     def test_zero_constraint_gives_zero_delta(self):
         at = np.array([0.3 + 0j])
         jp = Z2.jet(at)
-        corr = interpolate_correction(
-            Z2, [JetConstraint.make(at, jp.value, jp.jacobian)], 5, K)
+        corr = interpolate_correction(Z2, at, jp.value, jp.jacobian, 5, K)
         assert corr.coeff_norm < 1e-12
         assert corr.sup_norm_on_K < 1e-10
+
+    def test_malformed_constraints_rejected(self):
+        with pytest.raises(ValueError, match="no constraint points"):
+            interpolate_correction(Z2, np.zeros((0, 1)), np.zeros((0, 1)),
+                                   None, 5, K)
+        # one target per point: a short list is not broadcast
+        at = [0.1 + 0j, 0.5 + 0j]
+        with pytest.raises(ValueError):
+            interpolate_correction(Z2, at, [0.2 + 0j], None, 5, K)
+        with pytest.raises(ValueError):
+            interpolate_correction(Z2, at, [0.2, 0.3], [[[1.0]]], 5, K)
 
     def test_least_norm_among_feasible_solutions(self):
         # any other delta meeting the same constraints has larger
         # coefficient norm; build alternatives by pinning extra points
         at = np.array([0.5 + 0.1j])
         tgt = np.array([0.1 - 0.2j])
-        cons = [JetConstraint.make(at, tgt)]
-        corr = interpolate_correction(Z2, cons, 5, K)
+        corr = interpolate_correction(Z2, at, tgt, None, 5, K)
         rng = np.random.default_rng(0)
         for _ in range(10):
             p = rng.normal(scale=0.7, size=1) + 1j * rng.normal(scale=0.7,
                                                                 size=1)
-            extra = cons + [JetConstraint.make(
-                p, Z2.eval(p) + 0.05 * rng.standard_normal())]
-            alt = interpolate_correction(Z2, extra, 5, K)
+            alt = interpolate_correction(
+                Z2, np.concatenate([at, p]),
+                np.concatenate([tgt, Z2.eval(p)
+                                + 0.05 * rng.standard_normal()]),
+                None, 5, K)
             assert alt.coeff_norm >= corr.coeff_norm - 1e-12
 
     def test_infeasible_budget(self):
         # two independent jet constraints cannot fit in an affine map
-        c1 = JetConstraint.make([0.0 + 0j], [0.5 + 0j],
-                                [[2.0 + 0j]])
-        c2 = JetConstraint.make([1.0 + 0j], [0.5 + 0j],
-                                [[-2.0 + 0j]])
         with pytest.raises(InfeasibleError):
-            interpolate_correction(Z2, [c1, c2], 1, K)
+            interpolate_correction(Z2, [0.0 + 0j, 1.0 + 0j], [0.5, 0.5],
+                                   [[[2.0 + 0j]], [[-2.0 + 0j]]], 1, K)
 
     def test_clustered_points_rejected_honestly(self):
         # nearly coincident constraint points make the system so
         # ill-conditioned that the built polynomial cannot reproduce the
         # targets; this must surface as InfeasibleError, not bad output
         pts = [0.5 + k * 1e-5 + 0j for k in range(12)]
-        cons = [JetConstraint.make([p], [0.1 * (-1) ** k + 0j])
-                for k, p in enumerate(pts)]
+        tgt = [0.1 * (-1) ** k + 0j for k in range(12)]
         with pytest.raises(InfeasibleError):
-            interpolate_correction(Z2, cons, 14, K)
+            interpolate_correction(Z2, pts, tgt, None, 14, K)
         # coincident points (below the dedup tolerance) are a usage error
-        same = [JetConstraint.make([0.5 + 0j], [0.1 + 0j]),
-                JetConstraint.make([0.5 + 1e-13j], [0.9 + 0j])]
         with pytest.raises(ValueError):
-            interpolate_correction(Z2, same, 8, K)
+            interpolate_correction(Z2, [0.5 + 0j, 0.5 + 1e-13j],
+                                   [0.1 + 0j, 0.9 + 0j], None, 8, K)
 
     def test_sup_minimization_not_worse(self):
         at = np.array([1.3 + 0.4j])
         tgt = np.array([0.2 + 0j])
-        cons = [JetConstraint.make(at, tgt)]
-        a = interpolate_correction(Z2, cons, 8, K, minimize="coeff")
-        b = interpolate_correction(Z2, cons, 8, K, minimize="sup")
+        a = interpolate_correction(Z2, at, tgt, None, 8, K, minimize="coeff")
+        b = interpolate_correction(Z2, at, tgt, None, 8, K, minimize="sup")
         assert b.sup_norm_on_K <= a.sup_norm_on_K * 1.05
 
 
@@ -185,13 +210,9 @@ class TestMakePeriodic:
                                 budget=8)
 
     def test_saddle_in_2d(self):
-        f = PolyMap.from_terms(2, (
-            (((2, 0), 1.0 + 0j), ((0, 1), 0.3 + 0j)),
-            (((0, 2), 1.0 + 0j), ((1, 0), 0.2 + 0j)),
-        ))
         q = np.array([0.31 + 0.11j, -0.22 + 0.14j])
         K2 = Window.square(2, -1.5, 1.5)
-        out = make_periodic_point(f, q, 1, "saddle", K2, budget=6)
+        out = make_periodic_point(QUAD_2D, q, 1, "saddle", K2, budget=6)
         assert out["cycle"].klass == "saddle"
 
 
