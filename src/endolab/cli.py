@@ -5,12 +5,13 @@ a single JSON config document carries the parameters and every flag is
 an override of a config key.  Outputs are deterministic under a fixed
 seed and each file embeds the config hash and tool version.
 
-Exit codes: 0 ok, 2 config error, 3 infeasible construction.  Any other
-error propagates: a library bug is not reported as a config error.  The
-subcommands check their config values before calling the library, so a
-bad value exits 2.  What only iterating can find still raises a
-ValueError: a hakim start whose orbit leaves the petal, or colliding or
-degenerate orbit points in a perturb construction.
+Exit codes: 0 ok, 2 config error, 3 infeasible construction.  The
+subcommands check the types of their config values, and the library
+raises maps.InputError, before any work, for a value out of range: both
+exit 2.  Any other error propagates, so a library bug is not reported as
+a config error; nor is what only iterating can find, a hakim start whose
+orbit leaves the petal or colliding or degenerate orbit points in a
+perturb construction.
 """
 
 from __future__ import annotations
@@ -24,17 +25,13 @@ import sys
 import numpy as np
 
 from . import __version__
-from .maps import PolyMap, Window, escape_radius
+from .maps import InputError, PolyMap, Window, escape_radius
 # conley and perturb load SciPy: the subcommands that run them import them
 from . import julia, periodic, reporting
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_INFEASIBLE = 3
-
-
-class ConfigError(ValueError):
-    pass
 
 
 def _load_config(args):
@@ -44,7 +41,7 @@ def _load_config(args):
             with open(args.config) as fh:
                 cfg = json.load(fh)
         except (OSError, json.JSONDecodeError) as e:
-            raise ConfigError(f"bad config file: {e}") from e
+            raise InputError(f"bad config file: {e}") from e
     for key, val in (args.override or []):
         cfg[key] = val
     if args.map:
@@ -59,40 +56,51 @@ def _load_config(args):
 def _get_map(cfg):
     spec = cfg.get("map")
     if spec is None:
-        raise ConfigError("no map given (use --map or config key 'map')")
+        raise InputError("no map given (use --map or config key 'map')")
     if not isinstance(spec, (dict, str)):  # open() reads an int as an fd
-        raise ConfigError("a map is a JSON object or a file path")
+        raise InputError("a map is a JSON object or a file path")
     try:
         if isinstance(spec, dict):
             return PolyMap.from_json_dict(spec)
         with open(spec) as fh:
             return PolyMap.from_json_dict(json.load(fh))
     except (OSError, ValueError, KeyError, TypeError) as e:
-        raise ConfigError(f"bad map spec: {e}") from e
+        raise InputError(f"bad map spec: {e}") from e
 
 
-def _coords(cfg, key, default):
-    """cfg[key], coordinates: no boolean at any depth (float(True) is 1)."""
+def _array(cfg, key, default, shape):
+    """cfg[key] as a finite float array of `shape`, -1 being any length,
+    read from JSON numbers only: float(True) is 1 and float("2") is 2."""
     v = cfg.get(key, default)
     flat = [v]
     for x in flat:  # grows as nested lists are met
-        if isinstance(x, bool):
-            raise ConfigError(f"bad value for {key}: {v!r}")
         flat.extend(x if isinstance(x, list) else ())
-    return v
+    a = np.array(np.nan)  # no array: fails the checks below
+    if all(type(x) in (list, int, float) for x in flat):  # no bool or str
+        try:
+            a = np.array(v, dtype=float)
+        except (ValueError, OverflowError):  # ragged; an int past float
+            pass
+    if a.ndim == len(shape) and np.isfinite(a).all() and all(
+            s in (-1, t) for s, t in zip(shape, a.shape)):
+        return a
+    dims = ", ".join("k" if s < 0 else str(s) for s in shape)
+    raise InputError(f"{key} needs finite numbers of shape ({dims}), "
+                     f"got {v!r}")
 
 
-def _get_window(cfg, n, key="window", default_half=2.0):
-    w = _coords(cfg, key, None)
-    if w is None:
-        return Window.square(n, -default_half, default_half)
+def _window(key, bounds):
+    """A Window from (lo, hi) pairs; a degenerate interval exits 2."""
     try:
-        window = Window(bounds=tuple((float(lo), float(hi)) for lo, hi in w))
-    except (TypeError, ValueError) as e:
-        raise ConfigError(f"bad window: {e}") from e
-    if window.n != n:
-        raise ConfigError(f"{key} needs {2 * n} bounds for dimension {n}")
-    return window
+        return Window(bounds=tuple(map(tuple, bounds)))
+    except ValueError as e:
+        raise InputError(f"bad {key}: {e}") from None
+
+
+def _get_window(cfg, n, key="window"):
+    if cfg.get(key) is None:
+        return Window.square(n, -2.0, 2.0)
+    return _window(key, _array(cfg, key, None, (2 * n, 2)).tolist())
 
 
 def _positive(cfg, key, default, low=0):
@@ -102,24 +110,16 @@ def _positive(cfg, key, default, low=0):
         if isinstance(v, (bool, str)) or isinstance(v, float) and x != v:
             raise ValueError  # a bool or str is no number; int(2.7) is 2
     except (TypeError, ValueError, OverflowError):  # int(inf) overflows
-        raise ConfigError(f"bad value for {key}: {v!r}") from None
+        raise InputError(f"bad value for {key}: {v!r}") from None
     if not low < x < float("inf"):  # NaN too
-        raise ConfigError(f"{key} must be finite and above {low}")
+        raise InputError(f"{key} must be finite and above {low}")
     return x
 
 
 def _points(cfg, key, default, n):
     """Config key holding n [re, im] pairs, as an (n,) complex array."""
-    v = _coords(cfg, key, default)
-    try:
-        p = np.array([complex(re, im) for re, im in v])
-    except (TypeError, ValueError):
-        raise ConfigError(f"bad value for {key}: {v!r}") from None
-    if not np.isfinite(p).all():
-        raise ConfigError(f"{key} needs finite [re, im] pairs")
-    if len(p) != n:
-        raise ConfigError(f"{key} needs {n} [re, im] pairs, got {len(p)}")
-    return p
+    pairs = _array(cfg, key, default, (n, 2)).tolist()
+    return np.array([complex(re, im) for re, im in pairs])
 
 
 def _outdir(args):
@@ -139,13 +139,11 @@ def cmd_periodic(args):
     m_max = _positive(cfg, "m_max", 3)
     seeds = _positive(cfg, "seeds", 1024)
     tol = _positive(cfg, "tol", 1e-10)
-    if tol > periodic.DEDUP_TOL:  # find_periodic says why
-        raise ConfigError(f"tol must be at most {periodic.DEDUP_TOL:g}")
-    out = _outdir(args)
     rep = periodic.hyperbolicity_report(
         f, m_max, window, seeds=seeds, tol=tol, seed=int(cfg["seed"])
     )
     cycles = rep["cycles"]
+    out = _outdir(args)
     reporting.write_csv(os.path.join(out, "cycles.csv"),
                         periodic.cycles_to_csv(cycles, f.n), cfg)
     counts = {}
@@ -164,17 +162,15 @@ def cmd_periodic(args):
 
 
 def _parse_slice(cfg):
-    s = _coords(cfg, "slice", None)
+    s = cfg.get("slice")
+    if isinstance(s, str):  # the "re,im" form
+        try:
+            return tuple(float(v) for v in s.split(","))
+        except ValueError:
+            raise InputError(f"bad value for slice: {s!r}") from None
     if s is None:
         return ()
-    try:
-        fixed = tuple(float(v) for v in (s.split(",") if isinstance(s, str)
-                                         else s))
-    except (TypeError, ValueError):
-        raise ConfigError(f"bad value for slice: {s!r}") from None
-    if not np.isfinite(fixed).all():
-        raise ConfigError(f"slice needs finite values, got {s!r}")
-    return fixed
+    return tuple(_array(cfg, "slice", None, (-1,)).tolist())
 
 
 def cmd_julia(args):
@@ -182,8 +178,6 @@ def cmd_julia(args):
     f = _get_map(cfg)
     window = _get_window(cfg, f.n)
     res = _positive(cfg, "res", 512)
-    if res < 2:
-        raise ConfigError("res must be at least 2")
     n_max = _positive(cfg, "n_max", 200)
     m_max = _positive(cfg, "m_max", 6)
     seeds = _positive(cfg, "seeds", 2048)
@@ -192,17 +186,15 @@ def cmd_julia(args):
         try:
             R = escape_radius(f)
         except ValueError as e:
-            raise ConfigError(f"supply R in config: {e}") from e
+            raise InputError(f"supply R in config: {e}") from e
     else:
         _positive(cfg, "R", 1.0)  # grid.json keeps R as given
-    fixed = _parse_slice(cfg)
-    if len(fixed) != 2 * f.n - 2:
-        raise ConfigError(f"slice needs {2 * f.n - 2} values past z_1")
-    out = _outdir(args)
-    grid = julia.escape_grid(f, window, res, n_max, float(R), fixed=fixed)
+    grid = julia.escape_grid(f, window, res, n_max, float(R),
+                             fixed=_parse_slice(cfg))
     boundary = julia.boundary_extract(grid)
     repellers = julia.repeller_cloud(f, m_max, window, seeds=seeds,
                                      seed=int(cfg["seed"]))
+    out = _outdir(args)
     reporting.write_pgm(os.path.join(out, "grid.pgm"),
                         julia.grid_to_pgm(grid), cfg)
     reporting.write_json(os.path.join(out, "grid.json"), {
@@ -236,20 +228,15 @@ def cmd_conley(args):
     depth = _positive(cfg, "depth", 5)
     spb = _positive(cfg, "samples_per_box", 8)
     m_max = _positive(cfg, "m_max", 3)
-    pad_mode = cfg.get("pad_mode", "jacobian")
-    try:
-        conley.pad_spec(pad_mode)
-    except ValueError as e:
-        raise ConfigError(str(e)) from None
     petal = cfg.get("petal_threshold")
     if petal is not None:  # any finite real; a negative one too
         petal = _positive(cfg, "petal_threshold", 0.0, low=-np.inf)
-    out = _outdir(args)
     report, g, mg, _ = conley.hurley_report(
-        f, window, depth, samples_per_box=spb, pad_mode=pad_mode,
-        m_max=m_max, seed=int(cfg["seed"]),
-        petal_threshold=petal,
+        f, window, depth, samples_per_box=spb,
+        pad_mode=cfg.get("pad_mode", "jacobian"), m_max=m_max,
+        seed=int(cfg["seed"]), petal_threshold=petal,
     )
+    out = _outdir(args)
     reporting.write_dot(os.path.join(out, "morse.dot"),
                         conley.morse_to_dot(mg), cfg)
     mask = conley.recurrent_mask(mg)
@@ -271,17 +258,12 @@ def cmd_perturb(args):
     cfg = _load_config(args)
     f = _get_map(cfg)
     op = cfg.get("operation", "make_periodic")
-    window = _get_window(cfg, f.n, key="K", default_half=2.0)
+    window = _get_window(cfg, f.n, key="K")
     budget = _positive(cfg, "budget", 30 if op == "escaping" else 8)
-    out = _outdir(args)
     if op == "make_periodic":
         q = _points(cfg, "q", [[0.3, 0.0]] * f.n, f.n)
         m = _positive(cfg, "m", 1)
         kind = cfg.get("kind", "super_attracting")
-        if kind not in ("super_attracting", "repelling", "saddle"):
-            raise ConfigError(f"unknown kind {kind!r}")
-        if kind == "saddle" and f.n < 2:
-            raise ConfigError("saddle cycles need dimension >= 2")
         try:
             res = perturb.make_periodic_point(f, q, m, kind, window, budget)
         except perturb.InfeasibleError as e:
@@ -298,18 +280,9 @@ def cmd_perturb(args):
         produced = res["h"]
     elif op == "escaping":
         q = _points(cfg, "q", [[1.1, 0.0]] * f.n, f.n)
-        radii = _coords(cfg, "radii", [2.0, 3.0, 4.0, 5.0])
-        if not isinstance(radii, list) or not 2 <= len(radii) <= 7:
-            raise ConfigError("radii must list 2 to 7 window radii")
+        radii = _array(cfg, "radii", [2.0, 3.0, 4.0, 5.0], (-1,)).tolist()
         eps = _positive(cfg, "eps", 1.0)
-        try:
-            windows = [Window.square(f.n, -r, r) for r in radii]
-        except (TypeError, ValueError) as e:
-            raise ConfigError(f"bad radii: {e}") from None
-        if any(a >= b for a, b in zip(radii, radii[1:])):
-            raise ConfigError("radii must strictly increase")
-        if not windows[0].contains(q):
-            raise ConfigError("q must lie in the first window")
+        windows = [_window("radii", [(-r, r)] * (2 * f.n)) for r in radii]
         try:
             res = perturb.escaping_construction(f, q, windows, eps, budget,
                                                 seed=int(cfg["seed"]))
@@ -326,7 +299,8 @@ def cmd_perturb(args):
         }
         produced = res["h"]
     else:
-        raise ConfigError(f"unknown perturb operation {op!r}")
+        raise InputError(f"unknown perturb operation {op!r}")
+    out = _outdir(args)
     with open(os.path.join(out, "produced_map.json"), "w") as fh:
         json.dump(produced.to_json_dict(), fh, sort_keys=True, indent=2)
         fh.write("\n")
@@ -338,15 +312,12 @@ def cmd_hakim(args):
     from . import perturb
     cfg = _load_config(args)
     dim = _positive(cfg, "dim", 1)
-    if dim > 2:
-        raise ConfigError("dim must be 1 or 2")
+    if dim > 2:  # the default start has dim points
+        raise InputError("dim must be 1 or 2")
     start = _points(cfg, "start", [[-0.2, 0.0]] * dim, dim)
-    if start.any() and not ((start.real > -1.0) & (start.real < 0.0)).all():
-        raise ConfigError("start must be the origin or lie in the strip "
-                          "-1 < Re < 0")
     steps = _positive(cfg, "steps", 10_000)
-    out = _outdir(args)
     rep = perturb.hakim_experiment(dim, start, steps=steps)
+    out = _outdir(args)
     lines = ["k,norm,k_times_norm\n"]
     norms = rep["orbit_norms"]
     kxn = rep["k_times_norm"]
@@ -405,7 +376,7 @@ def main(argv=None):
         args.override = parsed
     try:
         return args.fn(args)
-    except ConfigError as e:
+    except InputError as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
 

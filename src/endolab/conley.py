@@ -23,7 +23,7 @@ import numpy as np
 from scipy.sparse import csr_array
 from scipy.sparse.csgraph import breadth_first_order, connected_components
 
-from .maps import Window, halton, map_kernel
+from .maps import InputError, Window, halton, map_kernel
 from .orbits import basin_mask
 from .periodic import find_periodic
 
@@ -115,16 +115,19 @@ class BoxGraph:
 def pad_spec(pad_mode):
     """`pad_mode` -> subcells per axis: `jacobian` is 1, `subcell[:s]` is s.
 
-    Raises ValueError for a mode that build_box_map does not know.
+    Raises InputError for a mode that build_box_map does not know.
     """
     kind, sep, arg = str(pad_mode).partition(":")
     if kind == "jacobian" and not sep:
         return 1
     if kind == "subcell":
-        split = int(arg) if sep else 2
+        try:
+            split = int(arg) if sep else 2
+        except ValueError:
+            split = 0
         if split >= 1:
             return split
-    raise ValueError(f"unknown pad_mode {pad_mode!r}")
+    raise InputError(f"unknown pad_mode {pad_mode!r}")
 
 
 def _unique_sorted(keys):
@@ -183,7 +186,7 @@ def build_box_map(pmap, window, depth, samples_per_box=8, pad_mode="subcell:2",
           the largest sampled operator norm times the box radius.
     """
     if depth < 1:
-        raise ValueError("depth must be >= 1")
+        raise InputError("depth must be >= 1")
     split = pad_spec(pad_mode)
     grid = BoxGrid(window=window, depth=depth)
     d = grid.dims
@@ -363,35 +366,27 @@ def lyapunov(mg):
 
 
 def attractors(g, mg=None):
-    """(U, attractor, basin) masks over nodes 0..B, one triple per
-    recurrent sink class of the condensation; node B is `infinity`, whose
-    class yields the escape attractor.
+    """(U, basin) masks over nodes 0..B, one pair per recurrent sink class
+    U of the condensation; node B is `infinity`, whose class yields the
+    escape attractor.
 
-    A sink class U satisfies successors(U) <= U by construction; the
-    attractor is its eventual forward image, the basin its backward
-    reachable set, found from one node of U since U is strongly connected.
+    U is its own attractor: nothing leaves a sink class, and each of its
+    nodes has a predecessor inside it, so U maps onto U.  The basin is
+    every node whose class reaches U in the class DAG.
     """
     if mg is None:
         mg = morse_graph(g)
-    graph = g.matrix()
-    back = graph.T.tocsr()
+    k = len(mg.recurrent)
+    src, dst = mg.dag_edges.T
+    back = csr_array((np.ones(len(src)), (dst, src)), shape=(k, k))
     out = []
     for cid in mg.sink_classes():
         if not mg.recurrent[cid]:
             continue  # a rectless sink cannot occur (every box has an image)
-        U = mg.class_of == cid
-        A = U
-        while True:
-            nxt = np.zeros_like(U)
-            nxt[graph[np.flatnonzero(A)].indices] = True
-            nxt &= U
-            if np.array_equal(nxt, A):
-                break
-            A = nxt
-        basin = np.zeros_like(U)
-        basin[breadth_first_order(back, int(np.argmax(U)),
+        reach = np.zeros(k, dtype=bool)
+        reach[breadth_first_order(back, int(cid),
                                   return_predecessors=False)] = True
-        out.append((U, A, basin))
+        out.append((mg.class_of == cid, reach[mg.class_of]))
     return out
 
 
@@ -433,8 +428,8 @@ def hurley_report(pmap, window, depth, samples_per_box=8, pad_mode="subcell:2",
     box_class = mg.class_of[:B]
     recurrent_box = mg.recurrent[box_class]
     covered = np.zeros(B + 1, dtype=bool)
-    for _, A, basin in masks:
-        covered |= basin & ~A
+    for U, basin in masks:
+        covered |= basin & ~U
     missing = np.flatnonzero(~recurrent_box & ~covered[:B])
     report["items"]["i_nonrecurrent_in_basins"] = {
         "pass": not missing.size, "missing_boxes": missing[:20].tolist(),

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .maps import Window, _step, sup_norm
+from .maps import InputError, Window, _step, sup_norm
 from .periodic import DEDUP_TOL, _dedup, find_periodic
 
 # escape_grid steps its cells in tiles of this many (CHANGES.md records the
@@ -59,11 +59,10 @@ def escape_grid(pmap, window, res, n_max, R, fixed=()):
     in L2: that changes no bit.
     """
     if res < 2:
-        raise ValueError("res must be >= 2 per axis")
-    if len(fixed) != 2 * window.n - 2:
-        raise ValueError(f"fixed needs 2n - 2 = {2 * window.n - 2} values")
-    if not np.isfinite(fixed).all():
-        raise ValueError("fixed values must be finite")
+        raise InputError("res must be at least 2")
+    if len(fixed) != 2 * window.n - 2 or not np.isfinite(fixed).all():
+        raise InputError(f"slice needs 2n - 2 = {2 * window.n - 2} values "
+                         "past z_1, all finite")
     centers = _slice_centers(window, res, fixed).reshape(-1, pmap.n)
     inside = sup_norm(centers) <= R
     esc_iter = np.where(inside, -1, 0)

@@ -33,6 +33,11 @@ class MapOverflowError(ArithmeticError):
         self.index = index
 
 
+class InputError(ValueError):
+    """An argument out of its function's range, raised before any work is
+    done; `endolab` reports it as a config error (exit 2)."""
+
+
 @dataclass(frozen=True)
 class PolyMap:
     """Endomorphism of C^n given by sparse multi-index terms per component."""

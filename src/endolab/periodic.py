@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .maps import map_kernel, sup_norm
+from .maps import InputError, map_kernel, sup_norm
 
 DEDUP_TOL = 1e-8
 UNIT_MARGIN = 1e-6  # |lambda| within this of 1 counts as borderline
@@ -173,11 +173,11 @@ def find_periodic(pmap, m_max, window, seeds=1024, tol=1e-10, seed=0):
     the seeds still stepping are a prefix (``map_kernel``).  The roots go
     to ``_collect_cycles`` listed by period, then seed."""
     if m_max < 1 or seeds < 1:
-        raise ValueError("m_max and seeds must be >= 1")
+        raise InputError("m_max and seeds must be >= 1")
     # a root accepted at residual tol is resolved only to about tol: above
     # DEDUP_TOL the dedup cannot merge its copies.  NaN fails the test too
     if not 0 < tol <= DEDUP_TOL:
-        raise ValueError(f"tol must lie in (0, {DEDUP_TOL:g}]")
+        raise InputError(f"tol must lie in (0, {DEDUP_TOL:g}]")
     m = np.repeat(np.arange(1, m_max + 1), seeds)[::-1]
     x0 = np.concatenate([window.sample(seeds, seed=seed + k)
                          for k in range(1, m_max + 1)])[::-1]

@@ -15,11 +15,10 @@ from itertools import product
 import numpy as np
 
 from .julia import dedup_points
-from .maps import PolyMap, map_kernel, sup_norm
+from .maps import InputError, PolyMap, map_kernel, sup_norm
 from .orbits import orbit, shell_points
 from .periodic import classify, eigenvalues
 
-RESIDUAL_TOL = 1e-10
 SUP_NORM_SAMPLES = 10_000
 
 
@@ -285,9 +284,9 @@ def make_periodic_point(f, q, m, kind, K, budget):
     D f^m(q); needs n >= 2).
     """
     if kind not in ("super_attracting", "repelling", "saddle"):
-        raise ValueError(f"unknown kind {kind!r}")
+        raise InputError(f"unknown kind {kind!r}")
     if kind == "saddle" and f.n < 2:
-        raise ValueError("saddle cycles need dimension >= 2")
+        raise InputError("saddle cycles need dimension >= 2")
     q = np.asarray(q, dtype=complex).reshape(f.n)
     if kind == "super_attracting":
         pj = np.zeros((f.n, f.n), dtype=complex)
@@ -317,16 +316,20 @@ def escaping_construction(f, q, windows, eps, budget, seed=0):
     its endpoint into the next window shell (outside the last window at
     the final stage), with the stage's sampled sup-norm on windows[s]
     below eps / 2^(s+1).  The geometric budget makes the total deviation
-    on windows[0] less than eps.
+    on windows[0] less than eps.  Each window must strictly contain the
+    one before it.
     """
     q = np.asarray(q, dtype=complex).reshape(f.n)
     N = len(windows) - 1
     if N < 1:
-        raise ValueError("need at least two nested windows")
+        raise InputError("need at least two nested windows")
     if N > 6:
-        raise ValueError("desk scale: at most 7 windows")
+        raise InputError("desk scale: at most 7 windows")
+    if not all(((b.lo < a.lo) & (a.hi < b.hi)).all()
+               for a, b in zip(windows, windows[1:])):
+        raise InputError("each window must strictly contain the one before")
     if not bool(windows[0].contains(q)):
-        raise ValueError("q must lie in the first window")
+        raise InputError("q must lie in the first window")
 
     # walk the f-orbit of q to its first point outside windows[0]
     interior = [q]
@@ -448,12 +451,12 @@ def hakim_experiment(dim, start, steps=10_000, shell_radius=0.05,
     bound (derivatives blow up on the repelling side of the petal).
     """
     if dim not in (1, 2):
-        raise ValueError("dim must be 1 or 2")
+        raise InputError("dim must be 1 or 2")
     f = hakim_map(dim)
     start = np.asarray(start, dtype=complex).reshape(dim)
-    at_origin = np.abs(start).max() == 0.0
-    if not at_origin and not np.all((start.real > -1.0) & (start.real < 0.0)):
-        raise ValueError("start not in petal")
+    if start.any() and not ((start.real > -1.0) & (start.real < 0.0)).all():
+        raise InputError("start must be the origin or lie in the strip "
+                         "-1 < Re < 0")
     o = orbit(f, start, steps, 10.0)
     if o.escaped:
         raise ValueError("start not in petal")

@@ -7,11 +7,13 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import endolab
-from endolab import conley
+from endolab import conley, julia, periodic, perturb
 from endolab.cli import main
+from endolab.maps import InputError, PolyMap, Window
 
 Z2 = {"n": 1, "components": [[{"exps": [2], "re": 1.0, "im": 0.0}]]}
 BASILICA = {"n": 1, "components": [[{"exps": [2], "re": 1.0, "im": 0.0},
@@ -306,6 +308,9 @@ class TestErrors:
         # a setting is a JSON number: float("3") and int("2") would pass
         ("julia", "R", '"3"'),
         ("periodic", "m_max", '"2"'),
+        # and so is a coordinate: float("-2") is -2
+        ("periodic", "window", '[["-2", "2"], [-2, 2]]'),
+        ("perturb", "K", '[["-2", "2"], [-2, 2]]'),
     ])
     def test_bad_subcommand_value_is_config_error(self, tmp_path, mapfile,
                                                   cmd, key, value):
@@ -314,7 +319,8 @@ class TestErrors:
         assert rc == 2
 
     # a bool is no coordinate either: float(true) is 1
-    @pytest.mark.parametrize("value", ['"nan,0"', '[1e400, 0]', '[true, 0]'])
+    @pytest.mark.parametrize("value", ['"nan,0"', '[1e400, 0]', '[true, 0]',
+                                       '["0.1", "0"]'])
     def test_non_finite_slice_is_config_error(self, tmp_path, mapfile, value):
         rc = main(["julia", "--map", mapfile(SQUARES_2D),
                    "--out", str(tmp_path / "o"), "--set", "res", "16",
@@ -400,16 +406,29 @@ class TestErrors:
         [("operation", '"escaping"'), ("q", "[[true, false]]")],
         [("operation", '"escaping"'), ("q", "[[0.9, 0.5]]"),
          ("radii", "[true, 3, 4, 5]")],
+        [("operation", '"escaping"'), ("radii", '["2", 3, 4, 5]')],
     ], ids=["saddle_1d", "q_length", "q_outside", "one_radius",
             "radii_decrease", "radii_repeat", "eps_string", "K_bounds",
             "radii_infinite", "q_infinite", "q_nan", "eps_infinite",
-            "q_bool", "radii_bool"])
+            "q_bool", "radii_bool", "radii_string"])
     def test_bad_perturb_value_is_config_error(self, tmp_path, mapfile,
                                                overrides):
         argv = ["perturb", "--map", mapfile(Z2), "--out", str(tmp_path / "o")]
         for key, value in overrides:
             argv += ["--set", key, value]
         assert main(argv) == 2
+
+    @pytest.mark.parametrize("cmd,key,value", [
+        ("hakim", "start", "[[0.5, 0.0]]"),
+        ("conley", "pad_mode", '"nonsense"'),
+    ])
+    def test_library_range_error_leaves_no_outdir(self, tmp_path, mapfile,
+                                                  cmd, key, value):
+        out = tmp_path / "o"
+        rc = main([cmd, "--map", mapfile(BASILICA), "--out", str(out),
+                   "--set", key, value])
+        assert rc == 2
+        assert not out.exists()
 
     def test_library_value_error_propagates(self, tmp_path, mapfile,
                                             monkeypatch):
@@ -425,3 +444,53 @@ class TestErrors:
         with pytest.raises(SystemExit):
             main(["periodic", "--map", mapfile(Z2),
                   "--out", str(tmp_path / "o"), "--threads", "2"])
+
+
+F1 = PolyMap.from_coeffs_1d([-1, 0, 1])
+F2 = PolyMap.from_json_dict(SQUARES_2D)
+W1 = Window.square(1, -2, 2)
+W2 = Window.square(2, -2, 2)
+RADII = (2, 3, 4, 5)
+
+
+def _windows(*radii):
+    return [Window.square(1, -r, r) for r in radii]
+
+
+# each range rule the library owns, broken: the CLI exits 2 on it
+@pytest.mark.parametrize("call", [
+    lambda: periodic.find_periodic(F1, 0, W1),
+    lambda: periodic.find_periodic(F1, 1, W1, seeds=0),
+    lambda: periodic.find_periodic(F1, 1, W1, tol=0.0),
+    lambda: periodic.find_periodic(F1, 1, W1, tol=1e-6),
+    lambda: periodic.find_periodic(F1, 1, W1, tol=float("nan")),
+    lambda: julia.escape_grid(F1, W1, 1, 10, 2.0),
+    lambda: julia.escape_grid(F1, W1, 8, 10, 2.0, fixed=(0.1, 0.0)),
+    lambda: julia.escape_grid(F2, W2, 8, 10, 2.0, fixed=(0.1,)),
+    lambda: julia.escape_grid(F2, W2, 8, 10, 2.0, fixed=(np.inf, 0.0)),
+    lambda: conley.pad_spec("nonsense"),
+    lambda: conley.pad_spec("subcell:0"),
+    lambda: conley.pad_spec("subcell:x"),
+    lambda: conley.build_box_map(F1, W1, 0),
+    lambda: perturb.make_periodic_point(F1, [0.3], 1, "spiral", W1, 8),
+    lambda: perturb.make_periodic_point(F1, [0.3], 1, "saddle", W1, 8),
+    lambda: perturb.escaping_construction(F1, [1.1], _windows(2), 1.0, 30),
+    lambda: perturb.escaping_construction(
+        F1, [1.1], _windows(*range(2, 10)), 1.0, 30),
+    lambda: perturb.escaping_construction(
+        F1, [2.5], _windows(*RADII), 1.0, 30),
+    lambda: perturb.escaping_construction(
+        F1, [1.1], _windows(3, 2, 4, 5), 1.0, 30),
+    lambda: perturb.escaping_construction(
+        F1, [1.1], _windows(2, 3, 3, 5), 1.0, 30),
+    lambda: perturb.hakim_experiment(3, [-0.2, -0.2, -0.2]),
+    lambda: perturb.hakim_experiment(1, [0.5]),
+    lambda: perturb.hakim_experiment(2, [-0.2, -1.0]),
+], ids=["m_max", "seeds", "tol_zero", "tol_above_dedup", "tol_nan",
+        "res", "slice_1d", "slice_count", "slice_infinite", "pad_mode",
+        "pad_subcell_0", "pad_subcell_x", "depth", "kind", "saddle_1d",
+        "one_window", "eight_windows", "q_outside", "windows_shrink",
+        "windows_repeat", "hakim_dim", "hakim_start", "hakim_strip_edge"])
+def test_library_range_rule_raises_input_error(call):
+    with pytest.raises(InputError):
+        call()

@@ -399,23 +399,23 @@ class TestMorseGraph:
 class TestAttractors:
     def test_half_map_attractors(self):
         g = build_box_map(HALF, Window.square(1, -1, 1), 4)
-        finite = [A for U, A, _ in attractors(g) if not U[-1]]
+        finite = [U for U, _ in attractors(g) if not U[-1]]
         assert len(finite) == 1
         c = g.grid.centers()[finite[0][:-1]]
         assert np.abs(c).max() < 0.25
 
     def test_absorbing_invariant(self):
         g = build_box_map(BASILICA, W, 4)
-        for U, A, basin in attractors(g):
+        for U, basin in attractors(g):
             for b in np.flatnonzero(U):  # node B, infinity, too
                 assert U[g.indices[g.indptr[b]:g.indptr[b + 1]]].all()
-            assert (A <= U).all() and (U <= basin).all()
+            assert (U <= basin).all()
 
     def test_basilica_cycle_attractor(self):
         # depth 6 is the first scale at which the cycle class separates
         # from the chain-recurrent collar and becomes a genuine sink
         g = build_box_map(BASILICA, W, 6)
-        finite = [A for U, A, _ in attractors(g) if not U[-1]]
+        finite = [U for U, _ in attractors(g) if not U[-1]]
         assert len(finite) == 1
         c = g.grid.centers()[finite[0][:-1]]
         # the attractor clusters around the 2-cycle {0, -1}

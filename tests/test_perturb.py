@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from endolab.maps import PolyMap, Window
+from endolab.cli import main
+from endolab.maps import InputError, PolyMap, Window
 from endolab.perturb import (
     InfeasibleError,
     _delta_map,
@@ -303,10 +304,17 @@ class TestHakim:
         assert len(out["multipliers"]) == 2
         assert np.abs(np.array(out["multipliers"]) - 1.0).max() < 1e-12
 
-    def test_orbit_leaving_the_petal_is_rejected(self):
-        # in the strip -1 < Re < 0, but f(start) = -25.25 leaves |z| <= 10
-        with pytest.raises(ValueError, match="start not in petal"):
+    def test_orbit_leaving_the_petal_is_rejected(self, tmp_path):
+        # in the strip -1 < Re < 0, but f(start) = -25.25 leaves |z| <= 10.
+        # Only iterating finds that: it is no config error, and the CLI
+        # does not exit 2 on it
+        with pytest.raises(ValueError, match="start not in petal") as ei:
             hakim_experiment(1, np.array([-0.5 + 5j]), steps=100)
+        assert not isinstance(ei.value, InputError)
+        with pytest.raises(ValueError, match="start not in petal") as ei:
+            main(["hakim", "--out", str(tmp_path / "o"),
+                  "--set", "start", "[[-0.5, 5.0]]"])
+        assert not isinstance(ei.value, InputError)
 
     def test_overflowing_shell_point_gives_inf_growth(self):
         # on |z| = 2 the orbit of z + z^2 escapes and D f^k overflows
