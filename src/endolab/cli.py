@@ -5,13 +5,14 @@ a single JSON config document carries the parameters and every flag is
 an override of a config key.  Outputs are deterministic under a fixed
 seed and each file embeds the config hash and tool version.
 
-Exit codes: 0 ok, 2 config error, 3 infeasible construction.  The
-subcommands check the types of their config values, and the library
-raises maps.InputError, before any work, for a value out of range: both
-exit 2.  Any other error propagates, so a library bug is not reported as
-a config error; nor is what only iterating can find, a hakim start whose
-orbit leaves the petal or colliding or degenerate orbit points in a
-perturb construction.
+Exit codes: 0 ok, 2 config error, 3 infeasible construction.  Each
+subcommand names its config keys once, in a table of key -> (reader,
+default); any other key but `map` and `seed` exits 2.  So does a value
+of the wrong type, which the readers check, or out of range, which the
+library rejects with maps.InputError before any work.  Any other error
+propagates, so a library bug is not reported as a config error; nor is
+what only iterating can find, a hakim start whose orbit leaves the petal
+or colliding or degenerate orbit points in a perturb construction.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import json
 import os
 import re
 import sys
+from functools import partial
 
 import numpy as np
 
@@ -42,8 +44,13 @@ def _load_config(args):
                 cfg = json.load(fh)
         except (OSError, json.JSONDecodeError) as e:
             raise InputError(f"bad config file: {e}") from e
-    for key, val in (args.override or []):
-        cfg[key] = val
+        if not isinstance(cfg, dict):
+            raise InputError("a config file holds a JSON object")
+    for key, raw in args.override or []:
+        try:
+            cfg[key] = json.loads(raw)
+        except json.JSONDecodeError:
+            cfg[key] = raw
     if args.map:
         cfg["map"] = args.map
     if args.seed is not None:
@@ -97,16 +104,21 @@ def _window(key, bounds):
         raise InputError(f"bad {key}: {e}") from None
 
 
-def _get_window(cfg, n, key="window"):
+def _get_window(cfg, key, default, n):
+    """2n (lo, hi) bounds; absent or null, the default pair on each axis."""
     if cfg.get(key) is None:
-        return Window.square(n, -2.0, 2.0)
+        return Window.square(n, *default)
     return _window(key, _array(cfg, key, None, (2 * n, 2)).tolist())
 
 
-def _positive(cfg, key, default, low=0):
+def _positive(cfg, key, default, n=None, low=0):
+    """A finite number above `low`, of the default's type (a None default:
+    a float, or None when absent or null)."""
     v = cfg.get(key, default)
+    if v is None and default is None:
+        return None
     try:
-        x = type(default)(v)
+        x = (float if default is None else type(default))(v)
         if isinstance(v, (bool, str)) or isinstance(v, float) and x != v:
             raise ValueError  # a bool or str is no number; int(2.7) is 2
     except (TypeError, ValueError, OverflowError):  # int(inf) overflows
@@ -117,9 +129,46 @@ def _positive(cfg, key, default, low=0):
 
 
 def _points(cfg, key, default, n):
-    """Config key holding n [re, im] pairs, as an (n,) complex array."""
-    pairs = _array(cfg, key, default, (n, 2)).tolist()
+    """n [re, im] pairs as an (n,) complex array; default: one pair."""
+    pairs = _array(cfg, key, [default] * n, (n, 2)).tolist()
     return np.array([complex(re, im) for re, im in pairs])
+
+
+def _numbers(cfg, key, default, n):
+    """A list of finite numbers, of any length."""
+    return _array(cfg, key, default, (-1,)).tolist()
+
+
+def _parse_slice(cfg, key, default, n):
+    s = cfg.get(key, default)
+    if isinstance(s, str):  # the "re,im" form
+        try:
+            return tuple(float(v) for v in s.split(","))
+        except ValueError:
+            raise InputError(f"bad value for {key}: {s!r}") from None
+    return () if s is None else tuple(_numbers(cfg, key, None, n))
+
+
+def _given(cfg, key, default, n):
+    """The value as given: the library checks it."""
+    return cfg.get(key, default)
+
+
+def _known(what, name, names):
+    """InputError, naming the nearest of `names`, unless name is one."""
+    if name not in names:  # a list: an unhashable name is no error here
+        import difflib  # only a config error loads it
+        near = difflib.get_close_matches(str(name), names, 1, 0)[0]
+        raise InputError(f"unknown {what} {name!r}; the nearest is {near!r}")
+
+
+def _read(cfg, table, n):
+    """{key: reader(cfg, key, default, n)} over a table, n being the map's
+    dimension; any key but `map`, `seed` and the table's exits 2."""
+    for key in cfg:
+        _known("config key", key, [*table, "map", "seed"])
+    return {key: reader(cfg, key, default, n)
+            for key, (reader, default) in table.items() if reader}
 
 
 def _outdir(args):
@@ -129,30 +178,45 @@ def _outdir(args):
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands, and the config keys of each: key -> (reader, default)
+
+WINDOW = (_get_window, [-2.0, 2.0])  # [-2, 2] on every real axis
+PERIODIC_KEYS = {"window": WINDOW, "m_max": (_positive, 3),
+                 "seeds": (_positive, 1024), "tol": (_positive, 1e-10)}
+JULIA_KEYS = {"window": WINDOW, "res": (_positive, 512),
+              "n_max": (_positive, 200), "m_max": (_positive, 6),
+              "seeds": (_positive, 2048), "slice": (_parse_slice, None),
+              "R": (_positive, None)}  # None: escape_radius(f)
+CONLEY_KEYS = {"window": WINDOW, "depth": (_positive, 5),
+               "samples_per_box": (_positive, 8), "m_max": (_positive, 3),
+               "pad_mode": (_given, "jacobian"),
+               # any finite real, a negative one too; None: no petal check
+               "petal_threshold": (partial(_positive, low=-np.inf), None)}
+PERTURB_KEYS = {  # one per operation, which cmd_perturb reads itself
+    "make_periodic": {"operation": (None, None), "q": (_points, [0.3, 0.0]),
+                      "m": (_positive, 1), "K": WINDOW,
+                      "kind": (_given, "super_attracting"),
+                      "budget": (_positive, 8)},
+    "escaping": {"operation": (None, None), "q": (_points, [1.1, 0.0]),
+                 "radii": (_numbers, [2.0, 3.0, 4.0, 5.0]),
+                 "eps": (_positive, 1.0), "budget": (_positive, 30)}}
+HAKIM_KEYS = {"dim": (_positive, 1), "start": (_points, [-0.2, 0.0]),
+              "steps": (_positive, 10_000)}
 
 
-def cmd_periodic(args):
-    cfg = _load_config(args)
+def cmd_periodic(args, cfg):
     f = _get_map(cfg)
-    window = _get_window(cfg, f.n)
-    m_max = _positive(cfg, "m_max", 3)
-    seeds = _positive(cfg, "seeds", 1024)
-    tol = _positive(cfg, "tol", 1e-10)
-    rep = periodic.hyperbolicity_report(
-        f, m_max, window, seeds=seeds, tol=tol, seed=int(cfg["seed"])
-    )
+    rep = periodic.hyperbolicity_report(f, seed=int(cfg["seed"]),
+                                        **_read(cfg, PERIODIC_KEYS, f.n))
     cycles = rep["cycles"]
     out = _outdir(args)
     reporting.write_csv(os.path.join(out, "cycles.csv"),
                         periodic.cycles_to_csv(cycles, f.n), cfg)
-    counts = {}
-    for c in cycles:
-        counts[c.klass] = counts.get(c.klass, 0) + 1
-    hyperbolic = sum(c.klass != "non_hyperbolic" for c in cycles)
+    klasses = [c.klass for c in cycles]
+    hyperbolic = len(cycles) - klasses.count("non_hyperbolic")
     reporting.write_json(os.path.join(out, "summary.json"), {
         "cycle_count": len(cycles),
-        "by_class": counts,
+        "by_class": {k: klasses.count(k) for k in set(klasses)},
         "all_hyperbolic": rep["all_hyperbolic"],
         "all_transverse": rep["all_transverse"],
         "fraction_hyperbolic": hyperbolic / len(cycles) if cycles else 1.0,
@@ -161,44 +225,26 @@ def cmd_periodic(args):
     return EXIT_OK
 
 
-def _parse_slice(cfg):
-    s = cfg.get("slice")
-    if isinstance(s, str):  # the "re,im" form
-        try:
-            return tuple(float(v) for v in s.split(","))
-        except ValueError:
-            raise InputError(f"bad value for slice: {s!r}") from None
-    if s is None:
-        return ()
-    return tuple(_array(cfg, "slice", None, (-1,)).tolist())
-
-
-def cmd_julia(args):
-    cfg = _load_config(args)
+def cmd_julia(args, cfg):
     f = _get_map(cfg)
-    window = _get_window(cfg, f.n)
-    res = _positive(cfg, "res", 512)
-    n_max = _positive(cfg, "n_max", 200)
-    m_max = _positive(cfg, "m_max", 6)
-    seeds = _positive(cfg, "seeds", 2048)
-    R = cfg.get("R")
+    v = _read(cfg, JULIA_KEYS, f.n)
+    R = v["R"]
     if R is None:
         try:
             R = escape_radius(f)
         except ValueError as e:
             raise InputError(f"supply R in config: {e}") from e
-    else:
-        _positive(cfg, "R", 1.0)  # grid.json keeps R as given
-    grid = julia.escape_grid(f, window, res, n_max, float(R),
-                             fixed=_parse_slice(cfg))
+    grid = julia.escape_grid(f, v["window"], v["res"], v["n_max"], R,
+                             fixed=v["slice"])
     boundary = julia.boundary_extract(grid)
-    repellers = julia.repeller_cloud(f, m_max, window, seeds=seeds,
-                                     seed=int(cfg["seed"]))
+    repellers = julia.repeller_cloud(f, v["m_max"], v["window"],
+                                     seeds=v["seeds"], seed=int(cfg["seed"]))
     out = _outdir(args)
     reporting.write_pgm(os.path.join(out, "grid.pgm"),
                         julia.grid_to_pgm(grid), cfg)
     reporting.write_json(os.path.join(out, "grid.json"), {
-        "res": grid.res, "n_max": n_max, "R": R,
+        "res": grid.res, "n_max": v["n_max"],
+        "R": cfg.get("R") or R,  # a given R as given
         "bounded_cells": int((~grid.escaped).sum()),
         "escaped_cells": int(grid.escaped.sum()),
         "cellwidth": grid.cellwidth,
@@ -220,22 +266,11 @@ def cmd_julia(args):
     return EXIT_OK
 
 
-def cmd_conley(args):
+def cmd_conley(args, cfg):
     from . import conley
-    cfg = _load_config(args)
     f = _get_map(cfg)
-    window = _get_window(cfg, f.n)
-    depth = _positive(cfg, "depth", 5)
-    spb = _positive(cfg, "samples_per_box", 8)
-    m_max = _positive(cfg, "m_max", 3)
-    petal = cfg.get("petal_threshold")
-    if petal is not None:  # any finite real; a negative one too
-        petal = _positive(cfg, "petal_threshold", 0.0, low=-np.inf)
-    report, g, mg, _ = conley.hurley_report(
-        f, window, depth, samples_per_box=spb,
-        pad_mode=cfg.get("pad_mode", "jacobian"), m_max=m_max,
-        seed=int(cfg["seed"]), petal_threshold=petal,
-    )
+    report, g, mg, _ = conley.hurley_report(f, seed=int(cfg["seed"]),
+                                            **_read(cfg, CONLEY_KEYS, f.n))
     out = _outdir(args)
     reporting.write_dot(os.path.join(out, "morse.dot"),
                         conley.morse_to_dot(mg), cfg)
@@ -247,83 +282,59 @@ def cmd_conley(args):
     return EXIT_OK
 
 
-def _infeasible(e):
-    stage = f" (stage {e.stage})" if e.stage is not None else ""
-    print(f"infeasible: {e}{stage}", file=sys.stderr)
-    return EXIT_INFEASIBLE
-
-
-def cmd_perturb(args):
+def cmd_perturb(args, cfg):
     from . import perturb
-    cfg = _load_config(args)
     f = _get_map(cfg)
     op = cfg.get("operation", "make_periodic")
-    window = _get_window(cfg, f.n, key="K")
-    budget = _positive(cfg, "budget", 30 if op == "escaping" else 8)
+    _known("perturb operation", op, list(PERTURB_KEYS))
+    v = _read(cfg, PERTURB_KEYS[op], f.n)
+    try:
+        if op == "make_periodic":
+            res = perturb.make_periodic_point(f, **v)
+        else:
+            windows = [_window("radii", [(-r, r)] * (2 * f.n))
+                       for r in v["radii"]]
+            res = perturb.escaping_construction(
+                f, v["q"], windows, v["eps"], v["budget"],
+                seed=int(cfg["seed"]))
+    except perturb.InfeasibleError as e:
+        stage = f" (stage {e.stage})" if e.stage is not None else ""
+        print(f"infeasible: {e}{stage}", file=sys.stderr)
+        return EXIT_INFEASIBLE
     if op == "make_periodic":
-        q = _points(cfg, "q", [[0.3, 0.0]] * f.n, f.n)
-        m = _positive(cfg, "m", 1)
-        kind = cfg.get("kind", "super_attracting")
-        try:
-            res = perturb.make_periodic_point(f, q, m, kind, window, budget)
-        except perturb.InfeasibleError as e:
-            return _infeasible(e)
-        ver = {
-            "kind": res["cycle"].klass,
-            "period": res["cycle"].period,
-            "multipliers": list(res["cycle"].multipliers),
-            "expected_multipliers": list(res["expected_multipliers"]),
-            "constraint_residual": res["correction"].constraint_residual,
-            "sup_norm_on_K": res["correction"].sup_norm_on_K,
-            "condition_number": res["correction"].condition_number,
-        }
-        produced = res["h"]
-    elif op == "escaping":
-        q = _points(cfg, "q", [[1.1, 0.0]] * f.n, f.n)
-        radii = _array(cfg, "radii", [2.0, 3.0, 4.0, 5.0], (-1,)).tolist()
-        eps = _positive(cfg, "eps", 1.0)
-        windows = [_window("radii", [(-r, r)] * (2 * f.n)) for r in radii]
-        try:
-            res = perturb.escaping_construction(f, q, windows, eps, budget,
-                                                seed=int(cfg["seed"]))
-        except perturb.InfeasibleError as e:
-            return _infeasible(e)
-        ver = {
-            "m": res["m"],
-            "stage_norms": res["stage_norms"],
-            "total_norm_bound": res["total_norm_bound"],
-            "witness_final_norm": float(np.abs(res["witness"][-1]).max()),
-            "exits_last_window": not bool(
-                windows[-1].contains(res["witness"][-1])
-            ),
-        }
-        produced = res["h"]
+        cycle, corr = res["cycle"], res["correction"]
+        ver = {"kind": cycle.klass, "period": cycle.period,
+               "multipliers": list(cycle.multipliers),
+               "expected_multipliers": list(res["expected_multipliers"]),
+               "constraint_residual": corr.constraint_residual,
+               "sup_norm_on_K": corr.sup_norm_on_K,
+               "condition_number": corr.condition_number}
     else:
-        raise InputError(f"unknown perturb operation {op!r}")
+        last = res["witness"][-1]
+        ver = {"m": res["m"], "stage_norms": res["stage_norms"],
+               "total_norm_bound": res["total_norm_bound"],
+               "witness_final_norm": float(np.abs(last).max()),
+               "exits_last_window": not bool(windows[-1].contains(last))}
     out = _outdir(args)
     with open(os.path.join(out, "produced_map.json"), "w") as fh:
-        json.dump(produced.to_json_dict(), fh, sort_keys=True, indent=2)
+        json.dump(res["h"].to_json_dict(), fh, sort_keys=True, indent=2)
         fh.write("\n")
     reporting.write_json(os.path.join(out, "verification.json"), ver, cfg)
     return EXIT_OK
 
 
-def cmd_hakim(args):
+def cmd_hakim(args, cfg):
     from . import perturb
-    cfg = _load_config(args)
-    dim = _positive(cfg, "dim", 1)
+    dim = _positive(cfg, "dim", HAKIM_KEYS["dim"][1])
     if dim > 2:  # the default start has dim points
         raise InputError("dim must be 1 or 2")
-    start = _points(cfg, "start", [[-0.2, 0.0]] * dim, dim)
-    steps = _positive(cfg, "steps", 10_000)
-    rep = perturb.hakim_experiment(dim, start, steps=steps)
+    rep = perturb.hakim_experiment(**_read(cfg, HAKIM_KEYS, dim))
     out = _outdir(args)
-    lines = ["k,norm,k_times_norm\n"]
-    norms = rep["orbit_norms"]
-    kxn = rep["k_times_norm"]
-    for k in range(1, len(norms)):
-        lines.append(f"{k},{norms[k]:.12g},{kxn[k-1]:.12g}\n")
-    reporting.write_csv(os.path.join(out, "decay.csv"), "".join(lines), cfg)
+    norms, kxn = rep["orbit_norms"], rep["k_times_norm"]
+    rows = (f"{k},{norms[k]:.12g},{kxn[k-1]:.12g}\n"
+            for k in range(1, len(norms)))
+    reporting.write_csv(os.path.join(out, "decay.csv"),
+                        "k,norm,k_times_norm\n" + "".join(rows), cfg)
     reporting.write_json(os.path.join(out, "report.json"), {
         "dim": dim,
         "multipliers": list(rep["multipliers"]),
@@ -366,16 +377,8 @@ def _build_parser():
 def main(argv=None):
     p = _build_parser()
     args = p.parse_args(argv)
-    if args.override:
-        parsed = []
-        for key, raw in args.override:
-            try:
-                parsed.append((key, json.loads(raw)))
-            except json.JSONDecodeError:
-                parsed.append((key, raw))
-        args.override = parsed
     try:
-        return args.fn(args)
+        return args.fn(args, _load_config(args))
     except InputError as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG

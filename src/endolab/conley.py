@@ -14,6 +14,7 @@ level only (every sampled image lands in a successor box).
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
@@ -117,17 +118,10 @@ def pad_spec(pad_mode):
 
     Raises InputError for a mode that build_box_map does not know.
     """
-    kind, sep, arg = str(pad_mode).partition(":")
-    if kind == "jacobian" and not sep:
-        return 1
-    if kind == "subcell":
-        try:
-            split = int(arg) if sep else 2
-        except ValueError:
-            split = 0
-        if split >= 1:
-            return split
-    raise InputError(f"unknown pad_mode {pad_mode!r}")
+    m = re.fullmatch(r"(jacobian)|subcell(?::([1-9][0-9]*))?", str(pad_mode))
+    if not m:
+        raise InputError(f"unknown pad_mode {pad_mode!r}")
+    return 1 if m[1] else int(m[2] or 2)
 
 
 def _unique_sorted(keys):
@@ -306,6 +300,14 @@ class MorseGraph:
                                      minlength=len(self.recurrent)))
         return [c.tolist() for c in np.split(nodes[order], ends[:-1])]
 
+    @cached_property
+    def into(self):
+        """The class DAG reversed, as a (k, k) CSR matrix: row j holds the
+        classes with an edge into class j."""
+        k = len(self.recurrent)
+        src, dst = self.dag_edges.T
+        return csr_array((np.ones(len(src)), (dst, src)), shape=(k, k))
+
     def sink_classes(self):
         has_out = np.bincount(self.dag_edges[:, 0],
                               minlength=len(self.recurrent))
@@ -343,15 +345,13 @@ def lyapunov(mg):
     before every class is removed means the condensation has a cycle.
     """
     k = len(mg.recurrent)
-    src, dst = mg.dag_edges.T
-    into = csr_array((np.ones(len(src)), (dst, src)), shape=(k, k))
-    left = np.bincount(src, minlength=k)  # successors not yet removed
+    left = np.bincount(mg.dag_edges[:, 0], minlength=k)  # successors left
     L = np.full(k, -1)
     front = np.flatnonzero(left == 0)
     r = 0
     while front.size:
         L[front] = r
-        pred = into[front].indices
+        pred = mg.into[front].indices
         np.subtract.at(left, pred, 1)
         front = np.unique(pred[left[pred] == 0])
         r += 1
@@ -376,15 +376,12 @@ def attractors(g, mg=None):
     """
     if mg is None:
         mg = morse_graph(g)
-    k = len(mg.recurrent)
-    src, dst = mg.dag_edges.T
-    back = csr_array((np.ones(len(src)), (dst, src)), shape=(k, k))
     out = []
     for cid in mg.sink_classes():
         if not mg.recurrent[cid]:
             continue  # a rectless sink cannot occur (every box has an image)
-        reach = np.zeros(k, dtype=bool)
-        reach[breadth_first_order(back, int(cid),
+        reach = np.zeros(len(mg.recurrent), dtype=bool)
+        reach[breadth_first_order(mg.into, int(cid),
                                   return_predecessors=False)] = True
         out.append((mg.class_of == cid, reach[mg.class_of]))
     return out

@@ -4,14 +4,16 @@ determinism."""
 import filecmp
 import json
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import endolab
-from endolab import conley, julia, periodic, perturb
+from endolab import cli, conley, julia, periodic, perturb
 from endolab.cli import main
 from endolab.maps import InputError, PolyMap, Window
 
@@ -252,6 +254,53 @@ class TestErrors:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["cycle_count"] == 2  # fixed points only
 
+    @pytest.mark.parametrize("text", ["[1, 2]", "3", '"abc"', "null"])
+    def test_config_file_not_an_object_is_config_error(self, tmp_path,
+                                                       mapfile, text):
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(text)
+        out = tmp_path / "o"
+        rc = main(["periodic", "--map", mapfile(Z2), "--config", str(cfgfile),
+                   "--out", str(out)])
+        assert rc == 2
+        assert not out.exists()
+
+    def test_typo_key_names_the_nearest_key(self, tmp_path, mapfile, capsys):
+        out = tmp_path / "o"
+        rc = main(["periodic", "--map", mapfile(Z2), "--out", str(out),
+                   "--set", "m_maxx", "1"])
+        assert rc == 2
+        assert not out.exists()
+        assert "'m_max'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["periodic", "--set", "pad_mode", '"x"'],
+        ["perturb", "--set", "operation", "escaping", "--set", "m", "2"],
+        ["perturb", "--set", "operation", "escaping", "--set", "K",
+         "[[-2, 2], [-2, 2]]"],
+        ["perturb", "--set", "radii", "[2, 3, 4, 5]"],  # make_periodic's
+        ["conley", "--set", "seeds", "16"],
+        ["julia", "--set", "depth", "2"],
+        ["hakim", "--set", "q", "[[-0.2, 0.0]]"],
+    ], ids=["pad_mode_periodic", "m_escaping", "K_escaping",
+            "radii_make_periodic", "seeds_conley", "depth_julia",
+            "q_hakim"])
+    def test_key_of_another_subcommand_is_config_error(self, tmp_path,
+                                                       mapfile, argv):
+        out = tmp_path / "o"
+        rc = main(argv + ["--map", mapfile(Z2), "--out", str(out)])
+        assert rc == 2
+        assert not out.exists()
+
+    def test_unknown_operation_names_the_nearest(self, tmp_path, mapfile,
+                                                 capsys):
+        for op in ("escapin", "[1]"):  # an unhashable value too
+            rc = main(["perturb", "--map", mapfile(Z2),
+                       "--out", str(tmp_path / "o"), "--set", "operation", op])
+            assert rc == 2
+        assert "'escaping'" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("cmd,key,value", [
         ("conley", "pad_mode", '"nonsense"'),
         ("conley", "pad_mode", '"subcell:0"'),
@@ -339,12 +388,20 @@ class TestErrors:
         ["--set", "seed", "1e400"],
     ], ids=["fraction", "bool", "negative", "negative_flag", "string",
             "string_number", "infinite"])
-    def test_bad_seed_is_config_error(self, tmp_path, mapfile, cmd, seed):
-        argv = [cmd, "--map", mapfile(BASILICA), "--out", str(tmp_path / "o"),
-                "--set", "m_max", "1", "--set", "seeds", "16"] + seed
-        if cmd == "perturb":  # escaping is the perturb operation with a seed
-            argv += ["--set", "operation", '"escaping"']
-        assert main(argv) == 2
+    def test_bad_seed_is_config_error(self, tmp_path, mapfile, capsys, cmd,
+                                      seed):
+        own = {  # keys of each subcommand's own table
+            "periodic": ["--set", "m_max", "1", "--set", "seeds", "16"],
+            "julia": ["--set", "m_max", "1", "--set", "seeds", "16"],
+            "conley": ["--set", "m_max", "1", "--set", "depth", "2"],
+            # escaping is the perturb operation with a seed
+            "perturb": ["--set", "operation", '"escaping"'],
+        }
+        out = tmp_path / "o"
+        argv = [cmd, "--map", mapfile(BASILICA), "--out", str(out)]
+        assert main(argv + own[cmd] + seed) == 2
+        assert "seed" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_integral_float_seed_is_accepted(self, tmp_path, mapfile):
         runs = {}
@@ -471,6 +528,12 @@ def _windows(*radii):
     lambda: conley.pad_spec("nonsense"),
     lambda: conley.pad_spec("subcell:0"),
     lambda: conley.pad_spec("subcell:x"),
+    # int() reads each of these as a count
+    lambda: conley.pad_spec("subcell:+3"),
+    lambda: conley.pad_spec("subcell: 3"),
+    lambda: conley.pad_spec("subcell:03"),
+    lambda: conley.pad_spec("subcell:\u0663"),  # ARABIC-INDIC DIGIT THREE
+    lambda: conley.pad_spec("subcell:1_0"),
     lambda: conley.build_box_map(F1, W1, 0),
     lambda: perturb.make_periodic_point(F1, [0.3], 1, "spiral", W1, 8),
     lambda: perturb.make_periodic_point(F1, [0.3], 1, "saddle", W1, 8),
@@ -488,9 +551,60 @@ def _windows(*radii):
     lambda: perturb.hakim_experiment(2, [-0.2, -1.0]),
 ], ids=["m_max", "seeds", "tol_zero", "tol_above_dedup", "tol_nan",
         "res", "slice_1d", "slice_count", "slice_infinite", "pad_mode",
-        "pad_subcell_0", "pad_subcell_x", "depth", "kind", "saddle_1d",
-        "one_window", "eight_windows", "q_outside", "windows_shrink",
+        "pad_subcell_0", "pad_subcell_x", "pad_plus", "pad_space",
+        "pad_leading_zero", "pad_arabic_digit", "pad_underscore", "depth",
+        "kind", "saddle_1d", "one_window", "eight_windows", "q_outside", "windows_shrink",
         "windows_repeat", "hakim_dim", "hakim_start", "hakim_strip_edge"])
 def test_library_range_rule_raises_input_error(call):
     with pytest.raises(InputError):
         call()
+
+
+def test_pad_spec_accepted_spellings():
+    assert [conley.pad_spec(m) for m in
+            ("jacobian", "subcell", "subcell:1", "subcell:3", "subcell:10")
+            ] == [1, 2, 1, 3, 10]
+
+
+# the tables of cli.py by README heading; perturb has one per operation
+TABLES = {"periodic": cli.PERIODIC_KEYS, "julia": cli.JULIA_KEYS,
+          "conley": cli.CONLEY_KEYS, "hakim": cli.HAKIM_KEYS,
+          **{f"perturb {op}": t for op, t in cli.PERTURB_KEYS.items()}}
+# a valid value for every key of every table, on the map z^2
+VALID = {
+    "periodic": {"window": [[-2, 2], [-2, 2]], "m_max": 1, "seeds": 16,
+                 "tol": 1e-10},
+    "julia": {"window": [[-2, 2], [-2, 2]], "res": 16, "n_max": 20,
+              "m_max": 1, "seeds": 16, "R": 3, "slice": []},
+    "conley": {"window": [[-2, 2], [-2, 2]], "depth": 2,
+               "samples_per_box": 2, "pad_mode": "subcell:2", "m_max": 1,
+               "petal_threshold": 0.1},
+    "perturb make_periodic": {"operation": "make_periodic",
+                              "q": [[0.41, 0.13]], "m": 2,
+                              "kind": "super_attracting",
+                              "K": [[-2, 2], [-2, 2]], "budget": 10},
+    "perturb escaping": {"operation": "escaping", "q": [[1.1, 0.0]],
+                         "radii": [2, 3, 4, 5], "eps": 1.0, "budget": 30},
+    "hakim": {"dim": 1, "start": [[-0.5, 0.0]], "steps": 100},
+}
+
+
+@pytest.mark.parametrize("name", sorted(TABLES))
+def test_every_table_key_is_accepted(tmp_path, mapfile, name):
+    values = VALID[name]
+    assert set(values) == set(TABLES[name])
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps({**values, "seed": 1}))
+    rc = main([name.split()[0], "--map", mapfile(Z2),
+               "--config", str(cfgfile), "--out", str(tmp_path / "o")])
+    assert rc == 0
+
+
+def test_readme_key_tables_match_cli():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    heads = re.findall(r"^#### `(\w+)`(?:, operation `(\w+)`)?\n\n"
+                       r"((?:\|.*\n)+)", readme, re.M)
+    found = {f"{cmd} {op}".strip(): re.findall(r"^\| `(\w+)` \|", body, re.M)
+             for cmd, op, body in heads}
+    assert {name: sorted(keys) for name, keys in found.items()} == {
+        name: sorted(table) for name, table in TABLES.items()}
