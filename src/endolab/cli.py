@@ -7,12 +7,13 @@ seed and each file embeds the config hash and tool version.
 
 Exit codes: 0 ok, 2 config error, 3 infeasible construction.  Each
 subcommand names its config keys once, in a table of key -> (reader,
-default); any other key but `map` and `seed` exits 2.  So does a value
-of the wrong type, which the readers check, or out of range, which the
-library rejects with maps.InputError before any work.  Any other error
-propagates, so a library bug is not reported as a config error; nor is
-what only iterating can find, a hakim start whose orbit leaves the petal
-or colliding or degenerate orbit points in a perturb construction.
+default); any other key but `seed`, and `map` where the subcommand reads
+a map, exits 2.  So does a value of the wrong type, which the readers
+check, or out of range, which the library rejects with maps.InputError
+before any work.  Any other error propagates, so a library bug is not
+reported as a config error; nor is what only iterating can find, a hakim
+start whose orbit leaves the petal or colliding or degenerate orbit
+points in a perturb construction.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from . import julia, periodic, reporting
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_INFEASIBLE = 3
+_NUMBER = r"-?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][-+]?[0-9]+)?"  # JSON's grammar
 
 
 def _load_config(args):
@@ -140,12 +142,10 @@ def _numbers(cfg, key, default, n):
 
 
 def _parse_slice(cfg, key, default, n):
+    """A list of numbers, or the string "re,im" of JSON numbers."""
     s = cfg.get(key, default)
-    if isinstance(s, str):  # the "re,im" form
-        try:
-            return tuple(float(v) for v in s.split(","))
-        except ValueError:
-            raise InputError(f"bad value for {key}: {s!r}") from None
+    if isinstance(s, str) and re.fullmatch(rf"{_NUMBER}(,{_NUMBER})*", s):
+        cfg = {key: json.loads(f"[{s}]")}  # any other string fails _array
     return () if s is None else tuple(_numbers(cfg, key, None, n))
 
 
@@ -164,7 +164,8 @@ def _known(what, name, names):
 
 def _read(cfg, table, n):
     """{key: reader(cfg, key, default, n)} over a table, n being the map's
-    dimension; any key but `map`, `seed` and the table's exits 2."""
+    dimension; any key but `map`, `seed` and the table's exits 2 (hakim,
+    which reads no map, rejects `map` itself)."""
     for key in cfg:
         _known("config key", key, [*table, "map", "seed"])
     return {key: reader(cfg, key, default, n)
@@ -325,6 +326,8 @@ def cmd_perturb(args, cfg):
 
 def cmd_hakim(args, cfg):
     from . import perturb
+    if "map" in cfg:  # the one subcommand that reads no map
+        raise InputError("hakim reads no map")
     dim = _positive(cfg, "dim", HAKIM_KEYS["dim"][1])
     if dim > 2:  # the default start has dim points
         raise InputError("dim must be 1 or 2")

@@ -77,11 +77,6 @@ class BoxGrid:
         """Complex centers of all boxes, (count, n)."""
         return self.window.grid_centers(self.per_axis)
 
-    def box_bounds(self, index):
-        w = self.widths
-        a = self.window.lo + w * np.array(self.lattice(index))
-        return a, a + w
-
 
 @dataclass(eq=False)
 class BoxGraph:

@@ -204,12 +204,12 @@ def map_kernel(pmap, p, m=1, jacobian=False):
       mean nothing.
 
     A point's bits do not depend on the rest of the batch, so a caller
-    drops the points that are not ok and keeps the rest (the orbit loops of
-    ``orbits`` and ``julia`` call ``_step``, which holds the finite-range
-    rule, on their live points alone).  For the same reason an (S, n) batch
-    of more than ``_BLOCK_ROWS`` rows runs one row block at a time, its
-    per-point m sliced along, so that a block's temporaries stay in L2:
-    that changes no bit.  A bare (n,) point is a (1, n) batch, squeezed on
+    drops the points that are not ok and keeps the rest (``orbits`` and
+    ``julia`` call ``_step``, which holds the finite-range rule, on their
+    own batches).  For the same reason an (S, n) batch of more than
+    ``_BLOCK_ROWS`` rows runs one row block at a time, its per-point m
+    sliced along, so that a block's temporaries stay in L2: that changes
+    no bit.  A bare (n,) point is a (1, n) batch, squeezed on
     return, so it has the bits of its row in any batch.
     ``m`` >= 0; m = 0 returns a copy of p, and of T or the identity.  It
     may be per point (>= 1, non-increasing along an (S, n) batch, else

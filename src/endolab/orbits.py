@@ -1,4 +1,4 @@
-"""Orbit iteration with escape detection, and a batched basin predicate.
+"""Orbit tables and a batched basin predicate.
 
 Basin membership, an open condition, is tested at the given points to a
 declared horizon: a "true" answer is evidence at those points, never a
@@ -7,44 +7,33 @@ proof.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
-
 import numpy as np
 
-from .maps import _step, escape_radius, sup_norm
+from .maps import _as_points, _step, escape_radius, sup_norm
 
 N_MAX_DEFAULT = 2000
 SHELL_POINTS = 16  # per dimension pair, plus the center
 
 
-@dataclass(frozen=True)
-class Orbit:
-    points: np.ndarray  # (k+1, n) complex
-    escaped: bool
-    escape_index: Optional[int]
+def orbit(pmap, p, k):
+    """The orbit table f^0(p), ..., f^k(p) of a batch p (..., n), or of one
+    bare (n,) point: ``(points, steps)``.
 
-
-def orbit(pmap, p, n_max, R):
-    """Iterate until the sup-norm exceeds R or n_max steps elapse.
-
-    Overflow counts as escape at the step where it happened.
+    ``points`` (k + 1, ..., n) steps the whole batch with ``_step``, so
+    row j has the bits of ``map_kernel(pmap, p, j)[0]``.  ``steps`` (...)
+    counts the steps each point made inside the finite range, as
+    ``map_kernel``'s does: rows 0..steps of a point mean something, the
+    rest do not.  Callers read their own stop rule off the table.
     """
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
-    x = np.asarray(p, dtype=complex).reshape(1, pmap.n)
-    pts, k, norm = [x], 0, sup_norm(x)
+    x, bare = _as_points(p, pmap.n)
+    pts = [x]
+    ok = np.zeros((k + 1,) + x.shape[:-1], dtype=bool)  # row k stays False
     with np.errstate(over="ignore", invalid="ignore"):
-        while not norm > R:  # a NaN start fails at step 1
-            if k == n_max:
-                return Orbit(points=np.concatenate(pts), escaped=False,
-                             escape_index=None)
-            k += 1
-            x, _, norm, ok = _step(pmap, x, False)
-            if not ok:  # an overflowing point is not kept
-                break
+        for j in range(k):
+            x, _, _, ok[j] = _step(pmap, x, False)
             pts.append(x)
-    return Orbit(points=np.concatenate(pts), escaped=True, escape_index=k)
+    pts, steps = np.stack(pts), ok.argmin(axis=0)
+    return (pts[:, 0], steps[0]) if bare else (pts, steps)
 
 
 def _default_radius(pmap, cycle):
@@ -60,15 +49,11 @@ def shell_points(center, radius, n):
     """Center plus SHELL_POINTS points per complex coordinate on the sphere
     of the given radius (each point offsets one coordinate on a circle)."""
     center = np.asarray(center, dtype=complex).reshape(n)
-    pts = [center]
     ang = 2 * np.pi * np.arange(SHELL_POINTS) / SHELL_POINTS
-    for j in range(n):
-        off = radius * np.exp(1j * ang)
-        for w in off:
-            q = center.copy()
-            q[j] += w
-            pts.append(q)
-    return np.array(pts)
+    pts = np.tile(center, (n, SHELL_POINTS, 1))
+    j = np.arange(n)
+    pts[j, :, j] += radius * np.exp(1j * ang)  # one coordinate per block
+    return np.concatenate([center[None], pts.reshape(-1, n)])
 
 
 # ---------------------------------------------------------------------------

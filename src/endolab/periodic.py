@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .maps import InputError, map_kernel, sup_norm
+from .orbits import orbit
 
 DEDUP_TOL = 1e-8
 UNIT_MARGIN = 1e-6  # |lambda| within this of 1 counts as borderline
@@ -196,31 +197,25 @@ def _collect_cycles(pmap, points, resid, m_max, window, tol):
     cycles are rolled to their base points and classified in one batch."""
     reps, resid = _dedup(points, resid, DEDUP_TOL)
 
-    # orbit[k] = f^k(reps); a rep's period is the first k <= m_max at which
+    # table[k] = f^k(reps); a rep's period is the first k <= m_max at which
     # its orbit returns, which is minimal: no smaller k passed the test
-    orbit = [reps]
-    ok = np.ones(len(reps), dtype=bool)
-    for _ in range(m_max):
-        x, _, steps = map_kernel(pmap, orbit[-1])
-        ok &= steps == 1
-        orbit.append(x)
-    orbit = np.stack(orbit)
+    table, steps = orbit(pmap, reps, m_max)
     with np.errstate(over="ignore", invalid="ignore"):
-        gap = sup_norm(orbit[1:] - reps)
-    back = ok & (gap < max(tol, DEDUP_TOL))
+        gap = sup_norm(table[1:] - reps)
+    back = (steps == m_max) & (gap < max(tol, DEDUP_TOL))
     period = np.where(back.any(axis=0), back.argmax(axis=0) + 1, 0)
-    inside = window.contains(orbit[:-1]) & (np.arange(m_max)[:, None] < period)
+    inside = window.contains(table[:-1]) & (np.arange(m_max)[:, None] < period)
 
     starts, used = [], np.zeros(len(reps), dtype=bool)
     for i in np.flatnonzero(inside.any(axis=0)):
         if not used[i]:
-            near = sup_norm(reps[:, None, :] - orbit[:period[i], i])
+            near = sup_norm(reps[:, None, :] - table[:period[i], i])
             used |= (near < 10 * DEDUP_TOL).any(axis=1)
             starts.append(i)
     starts, cycles = np.array(starts, dtype=np.intp), []
     for m in np.unique(period[starts]):
         s = starts[period[starts] == m]
-        block = orbit[:m, s].swapaxes(0, 1)  # (k, m, n)
+        block = table[:m, s].swapaxes(0, 1)  # (k, m, n)
         keys = np.round(np.concatenate([block.real, block.imag], axis=-1), 9)
         # base point: the orbit point inside the window of least key, the
         # first on a tie; the cycle starts at the first point near it

@@ -15,7 +15,8 @@ from itertools import product
 import numpy as np
 
 from .julia import dedup_points
-from .maps import InputError, PolyMap, map_kernel, sup_norm
+from .maps import (InputError, PolyMap, _raise_overflow, map_kernel,
+                   sup_norm)
 from .orbits import orbit, shell_points
 from .periodic import classify, eigenvalues
 
@@ -251,12 +252,9 @@ def close_orbit(f, q, m, prescribed_jac, K, budget):
     cycle's multiplier matrix is prescribed_jac . D(f^m)(q).
     """
     q = np.asarray(q, dtype=complex).reshape(f.n)
-    jt = f.iterated_jet(q, m)
-    orbit, jets = [q], []
-    for _ in range(m):  # a jet's value has the bits of f.eval
-        jets.append(f.jet(orbit[-1]))
-        orbit.append(jets[-1].value)
-    if len(dedup_points(orbit)) < len(orbit):
+    jt = f.iterated_jet(q, m)  # raises where the orbit overflows
+    pts = orbit(f, q, m)[0]
+    if len(dedup_points(pts)) < len(pts):
         raise ValueError("orbit points collide; pick another q or m")
     sv = np.linalg.svd(jt.jacobian, compute_uv=False)
     if sv.min() <= 1e-10 * max(sv.max(), 1.0):
@@ -265,11 +263,11 @@ def close_orbit(f, q, m, prescribed_jac, K, budget):
         f.n, f.n
     )
     corr = interpolate_correction(
-        f, orbit, orbit[1:] + [q],
-        [jp.jacobian for jp in jets] + [prescribed_jac], budget, K)
+        f, pts, np.roll(pts, -1, axis=0),
+        np.concatenate([f.jet(pts[:m]).jacobian, prescribed_jac[None]]),
+        budget, K)
     h = corr.corrected
-    cycle_pts = orbit[: m + 1]
-    cyc = classify(h, cycle_pts)
+    cyc = classify(h, pts)
     return {"h": h, "cycle": cyc, "correction": corr,
             "expected_multipliers": tuple(
                 eigenvalues(prescribed_jac @ jt.jacobian)
@@ -331,18 +329,15 @@ def escaping_construction(f, q, windows, eps, budget, seed=0):
     if not bool(windows[0].contains(q)):
         raise InputError("q must lie in the first window")
 
-    # walk the f-orbit of q to its first point outside windows[0]
-    interior = [q]
-    for _ in range(199):
-        x = f.eval(interior[-1])
-        if not bool(windows[0].contains(x)):
-            break
-        interior.append(x)
-    else:
+    # the f-orbit of q up to its first point outside windows[0], f^m(q)
+    pts, made = orbit(f, q, 199)
+    m = int((~windows[0].contains(pts)).argmax())  # 0: it never leaves
+    _raise_overflow(made, m or 199)
+    if not m:
         raise InfeasibleError("orbit of q never leaves the first window",
                               stage=0)
-    m = len(interior)
-    e = [x]  # e[0] = f^m(q), first point outside W0
+    interior = pts[:m]
+    e = [pts[m]]  # e[0] = f^m(q), first point outside W0
     if not bool(windows[1].contains(e[0])):
         raise InfeasibleError(
             "f^m(q) overshoots the second window; widen the windows",
@@ -368,7 +363,7 @@ def escaping_construction(f, q, windows, eps, budget, seed=0):
     stage_norms = []
     for s in range(N):
         # the orbit so far keeps its h-images; e[s] goes to e[s + 1]
-        at = np.array(interior + e[: s + 1])
+        at = np.concatenate([interior, e[: s + 1]])
         value = np.concatenate([h.eval(at[:-1]), [e[s + 1]]])
         future = [e[t] for t in range(s + 1, N)]
         try:
@@ -385,10 +380,9 @@ def escaping_construction(f, q, windows, eps, budget, seed=0):
                 f"exceeds budget {cap:.3g}", stage=s)
         stage_norms.append(corr.sup_norm_on_K)
         h = corr.corrected
-    witness = [q]
-    for _ in range(m + N):
-        witness.append(h.eval(witness[-1]))
-    return {"h": h, "m": m, "witness": np.array(witness),
+    witness, made = orbit(h, q, m + N)
+    _raise_overflow(made, m + N)
+    return {"h": h, "m": m, "witness": witness,
             "stage_norms": stage_norms,
             "total_norm_bound": float(sum(stage_norms))}
 
@@ -452,15 +446,17 @@ def hakim_experiment(dim, start, steps=10_000, shell_radius=0.05,
     """
     if dim not in (1, 2):
         raise InputError("dim must be 1 or 2")
+    if steps < 1:
+        raise InputError("steps must be >= 1")
     f = hakim_map(dim)
     start = np.asarray(start, dtype=complex).reshape(dim)
     if start.any() and not ((start.real > -1.0) & (start.real < 0.0)).all():
         raise InputError("start must be the origin or lie in the strip "
                          "-1 < Re < 0")
-    o = orbit(f, start, steps, 10.0)
-    if o.escaped:
+    pts, made = orbit(f, start, steps)
+    norms = sup_norm(pts)
+    if made < steps or (norms > 10.0).any():
         raise ValueError("start not in petal")
-    norms = sup_norm(o.points)
     ks = np.arange(len(norms))
     scaled = ks[1:] * norms[1:]  # ~ constant for parabolic decay
 

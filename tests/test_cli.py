@@ -38,6 +38,11 @@ def mapfile(tmp_path):
     return write
 
 
+def map_args(cmd, path):
+    """--map for the subcommands that read a map; hakim exits 2 on one."""
+    return [] if cmd == "hakim" else ["--map", path]
+
+
 def same_tree(a, b):
     cmp = filecmp.dircmp(a, b)
     if cmp.left_only or cmp.right_only or cmp.diff_files:
@@ -288,7 +293,7 @@ class TestErrors:
     def test_key_of_another_subcommand_is_config_error(self, tmp_path,
                                                        mapfile, argv):
         out = tmp_path / "o"
-        rc = main(argv + ["--map", mapfile(Z2), "--out", str(out)])
+        rc = main(argv + map_args(argv[0], mapfile(Z2)) + ["--out", str(out)])
         assert rc == 2
         assert not out.exists()
 
@@ -368,13 +373,22 @@ class TestErrors:
         assert rc == 2
 
     # a bool is no coordinate either: float(true) is 1
+    # and the "re,im" form holds JSON numbers: float() reads "1_0" as 10
     @pytest.mark.parametrize("value", ['"nan,0"', '[1e400, 0]', '[true, 0]',
-                                       '["0.1", "0"]'])
+                                       '["0.1", "0"]', '"1_0,0"', '"0x1,0"',
+                                       '"1e400,0"', '" 1,0"', '"1,0,"',
+                                       '"+1,0"', '"1.,0"'])
     def test_non_finite_slice_is_config_error(self, tmp_path, mapfile, value):
         rc = main(["julia", "--map", mapfile(SQUARES_2D),
                    "--out", str(tmp_path / "o"), "--set", "res", "16",
                    "--set", "slice", value])
         assert rc == 2
+        assert not (tmp_path / "o").exists()
+
+    def test_slice_string_keeps_its_values(self):
+        for s, want in (("0.1,0", (0.1, 0.0)), ("-1.5e-3,2", (-0.0015, 2.0)),
+                        ("0,-0.25E+1", (0.0, -2.5))):
+            assert cli._parse_slice({"slice": s}, "slice", None, 2) == want
 
     @pytest.mark.parametrize("cmd", ["periodic", "julia", "conley",
                                      "perturb"])
@@ -482,8 +496,22 @@ class TestErrors:
     def test_library_range_error_leaves_no_outdir(self, tmp_path, mapfile,
                                                   cmd, key, value):
         out = tmp_path / "o"
-        rc = main([cmd, "--map", mapfile(BASILICA), "--out", str(out),
+        rc = main([cmd, *map_args(cmd, mapfile(BASILICA)), "--out", str(out),
                    "--set", key, value])
+        assert rc == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("source", ["flag", "set", "config"])
+    def test_map_given_to_hakim_is_config_error(self, tmp_path, mapfile,
+                                                source):
+        # hakim reads no map: one given would be hashed into its artifacts
+        path, out = mapfile(BASILICA), tmp_path / "o"
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({"map": path}))
+        given = {"flag": ["--map", path],
+                 "set": ["--set", "map", json.dumps(path)],
+                 "config": ["--config", str(cfgfile)]}[source]
+        rc = main(["hakim", "--out", str(out), "--set", "steps", "10", *given])
         assert rc == 2
         assert not out.exists()
 
@@ -549,12 +577,14 @@ def _windows(*radii):
     lambda: perturb.hakim_experiment(3, [-0.2, -0.2, -0.2]),
     lambda: perturb.hakim_experiment(1, [0.5]),
     lambda: perturb.hakim_experiment(2, [-0.2, -1.0]),
+    lambda: perturb.hakim_experiment(1, [-0.2], steps=0),
 ], ids=["m_max", "seeds", "tol_zero", "tol_above_dedup", "tol_nan",
         "res", "slice_1d", "slice_count", "slice_infinite", "pad_mode",
         "pad_subcell_0", "pad_subcell_x", "pad_plus", "pad_space",
         "pad_leading_zero", "pad_arabic_digit", "pad_underscore", "depth",
         "kind", "saddle_1d", "one_window", "eight_windows", "q_outside", "windows_shrink",
-        "windows_repeat", "hakim_dim", "hakim_start", "hakim_strip_edge"])
+        "windows_repeat", "hakim_dim", "hakim_start", "hakim_strip_edge",
+        "hakim_steps"])
 def test_library_range_rule_raises_input_error(call):
     with pytest.raises(InputError):
         call()
@@ -595,7 +625,8 @@ def test_every_table_key_is_accepted(tmp_path, mapfile, name):
     assert set(values) == set(TABLES[name])
     cfgfile = tmp_path / "cfg.json"
     cfgfile.write_text(json.dumps({**values, "seed": 1}))
-    rc = main([name.split()[0], "--map", mapfile(Z2),
+    cmd = name.split()[0]
+    rc = main([cmd, *map_args(cmd, mapfile(Z2)),
                "--config", str(cfgfile), "--out", str(tmp_path / "o")])
     assert rc == 0
 

@@ -153,6 +153,12 @@ def meshgrid_centers(win, per_axis):
     return r[:, 0::2] + 1j * r[:, 1::2]
 
 
+def box_bounds(grid, b):
+    """Real bounds (lo, hi) of box b, from its lattice coordinates."""
+    lo = grid.window.lo + grid.widths * np.array(grid.lattice(b))
+    return lo, lo + grid.widths
+
+
 class TestBoxGrid:
     def test_index_lattice_round_trip(self):
         # 1-D at depth 7, 2-D at depth 3, 3-D (6 real axes) at depth 2
@@ -165,7 +171,7 @@ class TestBoxGrid:
             reals = grid.window.reals(centers)
             for b in range(grid.count):
                 assert grid.index(grid.lattice(b)) == b
-                lo, hi = grid.box_bounds(b)
+                lo, hi = box_bounds(grid, b)
                 assert ((lo < reals[b]) & (reals[b] < hi)).all()
 
     def test_centers_word_for_word(self):
@@ -188,7 +194,7 @@ class TestBoxGrid:
         idx = grid.box_of_points(pts)
         assert idx[2] == INFINITY
         for i in (0, 1):
-            lo, hi = grid.box_bounds(int(idx[i]))
+            lo, hi = box_bounds(grid, int(idx[i]))
             z = pts[i, 0]
             assert lo[0] <= z.real <= hi[0] and lo[1] <= z.imag <= hi[1]
 
@@ -322,7 +328,7 @@ class TestBoxGraph:
         g = build_box_map(BASILICA, W, 4, seed=0)
         rng = np.random.default_rng(1)
         for b in rng.integers(0, g.grid.count, size=100):
-            lo, hi = g.grid.box_bounds(int(b))
+            lo, hi = box_bounds(g.grid, int(b))
             pts = W.to_complex(rng.uniform(lo, hi, size=(16, len(lo))))
             img = BASILICA.eval(pts)
             tgt = g.grid.box_of_points(img)

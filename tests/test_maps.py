@@ -239,11 +239,18 @@ class TestJets:
                 for q in (pts[i], pts[i:i + 1]):
                     with pytest.raises(MapOverflowError):
                         f.iterate(q, 3)
-            # an orbit steps its (1, n) row: step k is row i of f^k(pts)
-            iterates = [map_kernel(f, pts, k)[0] for k in range(4)]
+            # an orbit table steps the batch: row k is f^k(pts), and its
+            # steps are map_kernel's, overflowing rows included
+            table, steps = orbit(f, pts, 3)
+            for k in range(4):
+                value, _, made = map_kernel(f, pts, k)
+                assert np.array_equal(words(table[k]), words(value))
+                assert np.array_equal(np.minimum(steps, k), made)
+            assert steps[6] == 0
             for i, p in enumerate(pts):
-                for k, x in enumerate(orbit(f, p, 3, 1e100).points):
-                    assert np.array_equal(words(x), words(iterates[k][i]))
+                rows, made = orbit(f, p, 3)
+                assert np.array_equal(words(rows), words(table[:, i]))
+                assert made == steps[i]
 
     def test_step_matches_per_term_loop(self):
         # word for word: the term table starts each term from a 0-d

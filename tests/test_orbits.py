@@ -52,20 +52,17 @@ def random_map(n, degree, rng):
     return PolyMap.from_terms(n, comps)
 
 
-def orbit_per_kernel_call(f, p, n_max, R):
-    """orbit as one map_kernel call per step, which tests |z| again for
-    R: the loop orbit must match word for word.  Returns (points, index)."""
-    pts = [np.asarray(p, dtype=complex).reshape(f.n)]
-    for k in range(n_max + 1):
-        if np.abs(pts[-1]).max() > R:
-            return np.array(pts), k
-        if k == n_max:
-            break
-        x, _, steps = map_kernel(f, pts[-1])
-        if steps < 1:
-            return np.array(pts), k + 1
+def orbit_per_kernel_call(f, p, k):
+    """orbit as one map_kernel call per step on a bare point, which keeps
+    stepping a point that left the finite range, as the table does: the
+    table must match it word for word.  Returns (points, steps)."""
+    pts, steps = [np.asarray(p, dtype=complex).reshape(f.n)], k
+    for j in range(k):
+        x, _, made = map_kernel(f, pts[-1])
+        if made < 1:
+            steps = min(steps, j)
         pts.append(x)
-    return np.array(pts), None
+    return np.array(pts), steps
 
 
 def basin_mask_all_points(f, cycle, pts, n_max, tol, R):
@@ -108,36 +105,52 @@ class TestOrbit:
         rng = np.random.default_rng(21)
         maps = [hakim_map(1), hakim_map(2)]
         maps += [random_map(n, d, rng) for n in (1, 2, 3) for d in (2, 5)]
-        seen = {"step_0": 0, "R": 0, "overflow": 0, "n_max": 0}
+        seen = {"step_0": 0, "later": 0, "none": 0}
         for f in maps:
-            starts = [np.full(f.n, -0.2 + 0.01j),
-                      0.4 * (rng.normal(size=f.n) + 1j * rng.normal(size=f.n)),
-                      np.full(f.n, 2.5 - 1.5j), np.full(f.n, 4.0 + 0j),
-                      np.full(f.n, complex(np.nan, 0.0))]  # fails at step 1
-            for p in starts:
-                for R in (3.0, 1e200):
-                    got = orbit(f, p, 60, R)
-                    pts, index = orbit_per_kernel_call(f, p, 60, R)
-                    assert got.escape_index == index
-                    assert got.escaped == (index is not None)
-                    assert got.points.shape == pts.shape
-                    assert np.array_equal(words(got.points), words(pts))
-                    last = np.abs(pts[-1]).max()
-                    seen["step_0" if index == 0 else "n_max" if index is None
-                         else "R" if last > R else "overflow"] += 1
-        assert min(seen.values()) >= 5, seen
+            starts = np.array([
+                np.full(f.n, -0.2 + 0.01j),
+                0.4 * (rng.normal(size=f.n) + 1j * rng.normal(size=f.n)),
+                np.full(f.n, 2.5 - 1.5j), np.full(f.n, 4.0 + 0j),
+                np.full(f.n, 1e80 + 0j),  # |f| ~ 1e160 overflows at once
+                np.full(f.n, complex(np.nan, 0.0))])  # fails at step 0
+            table, steps = orbit(f, starts, 60)
+            assert table.shape == (61,) + starts.shape
+            assert steps.shape == (len(starts),)
+            assert steps[-1] == steps[-2] == 0
+            for i, p in enumerate(starts):
+                want, made = orbit_per_kernel_call(f, p, 60)
+                got, got_steps = orbit(f, p, 60)
+                assert got.shape == want.shape == (61, f.n)
+                assert got_steps == made == steps[i]
+                assert np.array_equal(words(got), words(want))
+                assert np.array_equal(words(table[:, i]), words(want))
+                seen["step_0" if made == 0 else "none" if made == 60
+                     else "later"] += 1
+            # any leading batch shape; a shorter table is a prefix
+            short, few = orbit(f, starts.reshape(2, 3, f.n), 4)
+            assert np.array_equal(words(short),
+                                  words(table[:5].reshape(5, 2, 3, f.n)))
+            assert np.array_equal(few, np.minimum(steps, 4).reshape(2, 3))
+        # most random maps send every start out: the hakim maps keep theirs
+        assert min(seen.values()) >= 3, seen
+
+    def test_zero_steps_is_the_start(self):
+        p = np.array([0.3 - 0.1j, 2.0 + 0j])
+        pts, steps = orbit(hakim_map(2), p, 0)
+        assert pts.shape == (1, 2) and steps == 0
+        assert np.array_equal(words(pts[0]), words(p))
 
     def test_bounded_orbit(self):
-        o = orbit(Z2, np.array([0.5 + 0j]), 50, 2.0)
-        assert not o.escaped
-        assert len(o.points) == 51
-        assert abs(o.points[-1, 0]) < 1e-9
+        pts, steps = orbit(Z2, np.array([0.5 + 0j]), 50)
+        assert steps == 50
+        assert pts.shape == (51, 1)
+        assert abs(pts[-1, 0]) < 1e-9
 
     def test_escaping_orbit(self):
-        o = orbit(Z2, np.array([1.5 + 0j]), 50, 2.0)
-        assert o.escaped
-        # 1.5 -> 2.25 crosses R = 2 after one step
-        assert o.escape_index == 1
+        # 1.5^(2^j) passes 1e150 at j = 10: step 9 is the first to fail
+        pts, steps = orbit(Z2, np.array([1.5 + 0j]), 50)
+        assert steps == 9
+        assert abs(pts[9, 0]) <= 1e150 < abs(pts[10, 0])
 
 
 class TestBasinTests:
@@ -182,7 +195,7 @@ class TestBasinTests:
     ], ids=["z2_fixed", "basilica_2", "quad_2d", "airplane_3"])
     def test_live_set_matches_all_point_loop(self, f, cycle_points, tol):
         if cycle_points is None:  # the orbit of the origin
-            cycle_points = orbit(f, np.zeros(f.n), 60, 10.0).points[-3:]
+            cycle_points = orbit(f, np.zeros(f.n), 60)[0][-3:]
             if f.n == 2:
                 cycle_points = cycle_points[-2:]
         cycle = classify(f, [np.asarray(q, dtype=complex)
@@ -214,6 +227,20 @@ class TestBasinTests:
 
 
 class TestShellPoints:
+    def test_matches_per_point_loop_word_for_word(self):
+        ang = 2 * np.pi * np.arange(16) / 16
+        for n, center in ((1, [0j]), (2, [0.5 + 0j, complex(-0.0, -0.0)]),
+                          (3, [0.1 - 0.2j, -0.0, 2j])):
+            center = np.array(center, dtype=complex)
+            want = [center]
+            for j in range(n):
+                for w in 0.05 * np.exp(1j * ang):
+                    q = center.copy()
+                    q[j] += w
+                    want.append(q)
+            got = shell_points(center, 0.05, n)
+            assert np.array_equal(words(got), words(np.array(want)))
+
     def test_count_and_radius(self):
         pts = shell_points(np.array([0.5 + 0j, 0j]), 0.1, 2)
         assert pts.shape[1] == 2

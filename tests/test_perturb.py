@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from endolab.cli import main
-from endolab.maps import InputError, PolyMap, Window
+from endolab.maps import InputError, MapOverflowError, PolyMap, Window
+from endolab.orbits import orbit
 from endolab.perturb import (
     InfeasibleError,
     _delta_map,
@@ -21,6 +22,7 @@ from endolab.perturb import (
 
 Z2 = PolyMap.from_coeffs_1d([0, 0, 1])
 BASILICA = PolyMap.from_coeffs_1d([-1, 0, 1])
+HUGE = PolyMap.from_coeffs_1d([0, 0, 1e200])  # f(0.5) overflows
 K = Window.square(1, -1.5, 1.5)
 
 
@@ -191,6 +193,11 @@ class TestCloseOrbit:
         # closing step returns to q
         assert np.abs(h.eval(x) - q).max() < 1e-9
 
+    def test_overflowing_orbit_raises(self):
+        with pytest.raises(MapOverflowError):
+            close_orbit(HUGE, np.array([0.5 + 0j]), 2,
+                        np.array([[0.5 + 0j]]), K, budget=8)
+
     def test_colliding_orbit_rejected(self):
         with pytest.raises(ValueError):
             close_orbit(Z2, np.array([1.0 + 0j]), 2,
@@ -222,8 +229,12 @@ class TestEscaping:
 
     def test_staged_escape_with_caps(self):
         q = np.array([1.1 + 0j])
+        # the orbit of q overflows within the interior walk's 199 steps,
+        # after its first point outside the first window: that is no error
+        assert orbit(Z2, q, 199)[1] < 199
         out = escaping_construction(Z2, q, self.WINDOWS, eps=1.0,
                                     budget=30, seed=0)
+        assert out["m"] == 3
         eps = 1.0
         for s, nm in enumerate(out["stage_norms"]):
             assert nm <= eps / 2 ** (s + 1)
@@ -234,6 +245,13 @@ class TestEscaping:
         for k in range(out["m"]):
             assert np.abs(w[k] - x).max() < 1e-9
             x = Z2.eval(x)
+
+    def test_overflow_inside_the_walk_raises(self):
+        # f(q) = 2.5e199 is the first point outside the first window, and
+        # the step to it overflows
+        with pytest.raises(MapOverflowError):
+            escaping_construction(HUGE, np.array([0.5 + 0j]), self.WINDOWS,
+                                  eps=1.0, budget=30)
 
     def test_trapped_point_infeasible(self):
         # q in the superattracting basin never leaves the first window
