@@ -5,15 +5,18 @@ a single JSON config document carries the parameters and every flag is
 an override of a config key.  Outputs are deterministic under a fixed
 seed and each file embeds the config hash and tool version.
 
-Exit codes: 0 ok, 2 config error, 3 infeasible construction.  Each
-subcommand names its config keys once, in a table of key -> (reader,
-default); any other key but `seed`, and `map` where the subcommand reads
-a map, exits 2.  So does a value of the wrong type, which the readers
-check, or out of range, which the library rejects with maps.InputError
-before any work.  Any other error propagates, so a library bug is not
-reported as a config error; nor is what only iterating can find, a hakim
-start whose orbit leaves the petal or colliding or degenerate orbit
-points in a perturb construction.
+Each subcommand takes the config and returns its artifacts as {file
+name: payload}.  `main` alone maps the exit codes: 0 ok, 2 config error
+(InputError), 3 infeasible construction (InfeasibleError); only on 0
+does it make `--out` and write every artifact, through the `reporting`
+writer of its suffix.  Each subcommand names its config keys once, in a
+table of key -> (reader, default); any other key but `seed`, and `map`
+where the subcommand reads a map, exits 2.  So does a value of the wrong
+type, which the readers check, or out of range, which the library
+rejects with InputError before any work.  Any other error propagates, so
+a library bug is not reported as a config error; nor is what only
+iterating can find, a hakim start whose orbit leaves the petal or
+colliding or degenerate orbit points in a perturb construction.
 """
 
 from __future__ import annotations
@@ -28,8 +31,10 @@ from functools import partial
 import numpy as np
 
 from . import __version__
-from .maps import InputError, PolyMap, Window, escape_radius
-# conley and perturb load SciPy: the subcommands that run them import them
+from .maps import InfeasibleError, InputError, PolyMap, Window, escape_radius
+# conley loads scipy.sparse, and perturb scipy.linalg inside
+# interpolate_correction; periodic and julia load neither module, so only
+# the subcommands that run one import it
 from . import julia, periodic, reporting
 
 EXIT_OK = 0
@@ -172,12 +177,6 @@ def _read(cfg, table, n):
             for key, (reader, default) in table.items() if reader}
 
 
-def _outdir(args):
-    out = args.out or "."
-    os.makedirs(out, exist_ok=True)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # subcommands, and the config keys of each: key -> (reader, default)
 
@@ -205,28 +204,25 @@ HAKIM_KEYS = {"dim": (_positive, 1), "start": (_points, [-0.2, 0.0]),
               "steps": (_positive, 10_000)}
 
 
-def cmd_periodic(args, cfg):
+def cmd_periodic(cfg):
     f = _get_map(cfg)
     rep = periodic.hyperbolicity_report(f, seed=int(cfg["seed"]),
                                         **_read(cfg, PERIODIC_KEYS, f.n))
     cycles = rep["cycles"]
-    out = _outdir(args)
-    reporting.write_csv(os.path.join(out, "cycles.csv"),
-                        periodic.cycles_to_csv(cycles, f.n), cfg)
     klasses = [c.klass for c in cycles]
     hyperbolic = len(cycles) - klasses.count("non_hyperbolic")
-    reporting.write_json(os.path.join(out, "summary.json"), {
-        "cycle_count": len(cycles),
-        "by_class": {k: klasses.count(k) for k in set(klasses)},
-        "all_hyperbolic": rep["all_hyperbolic"],
-        "all_transverse": rep["all_transverse"],
-        "fraction_hyperbolic": hyperbolic / len(cycles) if cycles else 1.0,
-        "seed": cfg["seed"],
-    }, cfg)
-    return EXIT_OK
+    return {"cycles.csv": periodic.cycles_to_csv(cycles, f.n),
+            "summary.json": {
+                "cycle_count": len(cycles),
+                "by_class": {k: klasses.count(k) for k in set(klasses)},
+                "all_hyperbolic": rep["all_hyperbolic"],
+                "all_transverse": rep["all_transverse"],
+                "fraction_hyperbolic": (hyperbolic / len(cycles) if cycles
+                                        else 1.0),
+                "seed": cfg["seed"]}}
 
 
-def cmd_julia(args, cfg):
+def cmd_julia(cfg):
     f = _get_map(cfg)
     v = _read(cfg, JULIA_KEYS, f.n)
     R = v["R"]
@@ -240,69 +236,45 @@ def cmd_julia(args, cfg):
     boundary = julia.boundary_extract(grid)
     repellers = julia.repeller_cloud(f, v["m_max"], v["window"],
                                      seeds=v["seeds"], seed=int(cfg["seed"]))
-    out = _outdir(args)
-    reporting.write_pgm(os.path.join(out, "grid.pgm"),
-                        julia.grid_to_pgm(grid), cfg)
-    reporting.write_json(os.path.join(out, "grid.json"), {
-        "res": grid.res, "n_max": v["n_max"],
-        "R": cfg.get("R") or R,  # a given R as given
-        "bounded_cells": int((~grid.escaped).sum()),
-        "escaped_cells": int(grid.escaped.sum()),
-        "cellwidth": grid.cellwidth,
-        "boundary_empty_warning": len(boundary) == 0,
-        "seed": cfg["seed"],
-    }, cfg)
-    reporting.write_csv(os.path.join(out, "boundary.csv"),
-                        julia.cloud_to_csv(boundary, f.n), cfg)
-    reporting.write_csv(os.path.join(out, "repellers.csv"),
-                        julia.cloud_to_csv(repellers, f.n), cfg)
     hd = None
     if len(boundary) and len(repellers):
         hd = julia.hausdorff(repellers, boundary)
-    reporting.write_json(os.path.join(out, "hausdorff.json"), {
-        "hausdorff": hd,
-        "repeller_count": len(repellers),
-        "boundary_count": len(boundary),
-    }, cfg)
-    return EXIT_OK
+    return {"grid.pgm": julia.grid_image(grid),
+            "grid.json": {
+                "res": grid.res, "n_max": v["n_max"],
+                "R": cfg.get("R") or R,  # a given R as given
+                "bounded_cells": int((~grid.escaped).sum()),
+                "escaped_cells": int(grid.escaped.sum()),
+                "cellwidth": grid.cellwidth,
+                "boundary_empty_warning": len(boundary) == 0,
+                "seed": cfg["seed"]},
+            "boundary.csv": julia.cloud_to_csv(boundary, f.n),
+            "repellers.csv": julia.cloud_to_csv(repellers, f.n),
+            "hausdorff.json": {"hausdorff": hd,
+                               "repeller_count": len(repellers),
+                               "boundary_count": len(boundary)}}
 
 
-def cmd_conley(args, cfg):
+def cmd_conley(cfg):
     from . import conley
     f = _get_map(cfg)
     report, g, mg, _ = conley.hurley_report(f, seed=int(cfg["seed"]),
                                             **_read(cfg, CONLEY_KEYS, f.n))
-    out = _outdir(args)
-    reporting.write_dot(os.path.join(out, "morse.dot"),
-                        conley.morse_to_dot(mg), cfg)
+    out = {"morse.dot": conley.morse_to_dot(mg), "hurley.json": report}
     mask = conley.recurrent_mask(mg)
     if mask.ndim == 2:
-        reporting.write_pgm(os.path.join(out, "recurrent.pgm"),
-                            julia.mask_to_pgm(mask), cfg)
-    reporting.write_json(os.path.join(out, "hurley.json"), report, cfg)
-    return EXIT_OK
+        out["recurrent.pgm"] = np.where(mask, 255, 0).astype(np.uint8)
+    return out
 
 
-def cmd_perturb(args, cfg):
+def cmd_perturb(cfg):
     from . import perturb
     f = _get_map(cfg)
     op = cfg.get("operation", "make_periodic")
     _known("perturb operation", op, list(PERTURB_KEYS))
     v = _read(cfg, PERTURB_KEYS[op], f.n)
-    try:
-        if op == "make_periodic":
-            res = perturb.make_periodic_point(f, **v)
-        else:
-            windows = [_window("radii", [(-r, r)] * (2 * f.n))
-                       for r in v["radii"]]
-            res = perturb.escaping_construction(
-                f, v["q"], windows, v["eps"], v["budget"],
-                seed=int(cfg["seed"]))
-    except perturb.InfeasibleError as e:
-        stage = f" (stage {e.stage})" if e.stage is not None else ""
-        print(f"infeasible: {e}{stage}", file=sys.stderr)
-        return EXIT_INFEASIBLE
     if op == "make_periodic":
+        res = perturb.make_periodic_point(f, **v)
         cycle, corr = res["cycle"], res["correction"]
         ver = {"kind": cycle.klass, "period": cycle.period,
                "multipliers": list(cycle.multipliers),
@@ -311,20 +283,19 @@ def cmd_perturb(args, cfg):
                "sup_norm_on_K": corr.sup_norm_on_K,
                "condition_number": corr.condition_number}
     else:
+        windows = [_window("radii", [(-r, r)] * (2 * f.n))
+                   for r in v["radii"]]
+        res = perturb.escaping_construction(f, v["q"], windows, v["eps"],
+                                            v["budget"], seed=int(cfg["seed"]))
         last = res["witness"][-1]
         ver = {"m": res["m"], "stage_norms": res["stage_norms"],
                "total_norm_bound": res["total_norm_bound"],
                "witness_final_norm": float(np.abs(last).max()),
                "exits_last_window": not bool(windows[-1].contains(last))}
-    out = _outdir(args)
-    with open(os.path.join(out, "produced_map.json"), "w") as fh:
-        json.dump(res["h"].to_json_dict(), fh, sort_keys=True, indent=2)
-        fh.write("\n")
-    reporting.write_json(os.path.join(out, "verification.json"), ver, cfg)
-    return EXIT_OK
+    return {"produced_map.json": res["h"], "verification.json": ver}
 
 
-def cmd_hakim(args, cfg):
+def cmd_hakim(cfg):
     from . import perturb
     if "map" in cfg:  # the one subcommand that reads no map
         raise InputError("hakim reads no map")
@@ -332,20 +303,16 @@ def cmd_hakim(args, cfg):
     if dim > 2:  # the default start has dim points
         raise InputError("dim must be 1 or 2")
     rep = perturb.hakim_experiment(**_read(cfg, HAKIM_KEYS, dim))
-    out = _outdir(args)
     norms, kxn = rep["orbit_norms"], rep["k_times_norm"]
     rows = (f"{k},{norms[k]:.12g},{kxn[k-1]:.12g}\n"
             for k in range(1, len(norms)))
-    reporting.write_csv(os.path.join(out, "decay.csv"),
-                        "k,norm,k_times_norm\n" + "".join(rows), cfg)
-    reporting.write_json(os.path.join(out, "report.json"), {
-        "dim": dim,
-        "multipliers": list(rep["multipliers"]),
-        "derivative_growth": {str(k): v
-                              for k, v in rep["derivative_growth"].items()},
-        "final_norm": float(norms[-1]),
-    }, cfg)
-    return EXIT_OK
+    return {"decay.csv": "k,norm,k_times_norm\n" + "".join(rows),
+            "report.json": {
+                "dim": dim,
+                "multipliers": list(rep["multipliers"]),
+                "derivative_growth": {
+                    str(k): v for k, v in rep["derivative_growth"].items()},
+                "final_norm": float(norms[-1])}}
 
 
 # ---------------------------------------------------------------------------
@@ -378,13 +345,24 @@ def _build_parser():
 
 
 def main(argv=None):
-    p = _build_parser()
-    args = p.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        return args.fn(args, _load_config(args))
+        cfg = _load_config(args)
+        artifacts = args.fn(cfg)
     except InputError as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
+    except InfeasibleError as e:
+        stage = f" (stage {e.stage})" if e.stage is not None else ""
+        print(f"infeasible: {e}{stage}", file=sys.stderr)
+        return EXIT_INFEASIBLE
+    out = args.out or "."
+    os.makedirs(out, exist_ok=True)
+    for name, payload in artifacts.items():
+        # looked up per call, so that a wrapper set on reporting is used
+        write = getattr(reporting, "write_" + name.rsplit(".", 1)[1])
+        write(os.path.join(out, name), payload, cfg)
+    return EXIT_OK
 
 
 if __name__ == "__main__":

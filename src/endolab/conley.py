@@ -18,7 +18,6 @@ import re
 from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
-from typing import Optional
 
 import numpy as np
 from scipy.sparse import csr_array
@@ -283,7 +282,6 @@ class MorseGraph:
     class_of: np.ndarray  # class per node 0..B; class_of[INFINITY] = node B's
     recurrent: np.ndarray  # bool per class
     dag_edges: np.ndarray  # (m, 2) distinct (class_i, class_j), i != j, sorted
-    lyapunov: Optional[np.ndarray] = None  # per class, set by lyapunov()
 
     @cached_property
     def classes(self):
@@ -303,6 +301,32 @@ class MorseGraph:
         src, dst = self.dag_edges.T
         return csr_array((np.ones(len(src)), (dst, src)), shape=(k, k))
 
+    @cached_property
+    def lyapunov(self):
+        """Per class: the longest condensation-path distance to a sink.
+
+        One Kahn peel from the sinks: round r removes the classes whose
+        successors all went in earlier rounds, and gives them L = r.  L
+        falls strictly along cross-class edges and is constant on classes;
+        the integer range is trivially nowhere dense.  A peel that stalls
+        before every class is removed means the condensation has a cycle.
+        """
+        k = len(self.recurrent)
+        left = np.bincount(self.dag_edges[:, 0], minlength=k)  # successors
+        L = np.full(k, -1)
+        front = np.flatnonzero(left == 0)
+        r = 0
+        while front.size:
+            L[front] = r
+            pred = self.into[front].indices
+            np.subtract.at(left, pred, 1)
+            front = np.unique(pred[left[pred] == 0])
+            r += 1
+        if (L < 0).any():
+            raise RuntimeError(
+                "condensation is not acyclic (invariant breach)")
+        return L
+
     def sink_classes(self):
         has_out = np.bincount(self.dag_edges[:, 0],
                               minlength=len(self.recurrent))
@@ -314,8 +338,8 @@ class MorseGraph:
 
 def morse_graph(g):
     """Condense the box graph; classes numbered by minimal contained node,
-    so the `infinity` class (node B) comes last.  Fills the Lyapunov
-    values and checks that the condensation is acyclic."""
+    so the `infinity` class (node B) comes last.  Reads the Lyapunov
+    values once, which checks that the condensation is acyclic."""
     k, class_of = strong_components(g.matrix())
     src = np.repeat(np.arange(len(class_of), dtype=class_of.dtype),
                     np.diff(g.indptr))
@@ -326,33 +350,9 @@ def morse_graph(g):
     cross = cu != cv
     keys = _unique_sorted(cu[cross].astype(np.int64) * k + cv[cross])
     dag = np.stack([keys // k, keys % k], axis=1)
-    return lyapunov(MorseGraph(graph=g, class_of=class_of,
-                               recurrent=recurrent, dag_edges=dag))
-
-
-def lyapunov(mg):
-    """Fill per-class values: longest condensation-path distance to a sink.
-
-    One Kahn peel from the sinks: round r removes the classes whose
-    successors all went in earlier rounds, and gives them L = r.  L is
-    strictly decreasing along cross-class edges and constant on classes;
-    the integer range is trivially nowhere dense.  A peel that stalls
-    before every class is removed means the condensation has a cycle.
-    """
-    k = len(mg.recurrent)
-    left = np.bincount(mg.dag_edges[:, 0], minlength=k)  # successors left
-    L = np.full(k, -1)
-    front = np.flatnonzero(left == 0)
-    r = 0
-    while front.size:
-        L[front] = r
-        pred = mg.into[front].indices
-        np.subtract.at(left, pred, 1)
-        front = np.unique(pred[left[pred] == 0])
-        r += 1
-    if (L < 0).any():
-        raise RuntimeError("condensation is not acyclic (invariant breach)")
-    mg.lyapunov = L
+    mg = MorseGraph(graph=g, class_of=class_of, recurrent=recurrent,
+                    dag_edges=dag)
+    mg.lyapunov  # raises on a cyclic condensation
     return mg
 
 
@@ -360,7 +360,7 @@ def lyapunov(mg):
 # attractors and basins
 
 
-def attractors(g, mg=None):
+def attractors(mg):
     """(U, basin) masks over nodes 0..B, one pair per recurrent sink class
     U of the condensation; node B is `infinity`, whose class yields the
     escape attractor.
@@ -369,8 +369,6 @@ def attractors(g, mg=None):
     nodes has a predecessor inside it, so U maps onto U.  The basin is
     every node whose class reaches U in the class DAG.
     """
-    if mg is None:
-        mg = morse_graph(g)
     out = []
     for cid in mg.sink_classes():
         if not mg.recurrent[cid]:
@@ -411,7 +409,7 @@ def hurley_report(pmap, window, depth, samples_per_box=8, pad_mode="subcell:2",
     g = build_box_map(pmap, window, depth, samples_per_box=samples_per_box,
                       pad_mode=pad_mode, seed=seed)
     mg = morse_graph(g)
-    masks = attractors(g, mg)
+    masks = attractors(mg)
     report = {"depth": depth, "classes": len(mg.recurrent),
               "recurrent_classes": int(np.sum(mg.recurrent)),
               "attractors": len(masks), "items": {}}

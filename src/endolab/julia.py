@@ -143,11 +143,12 @@ def cloud_to_csv(cloud, n):
 
 
 # ---------------------------------------------------------------------------
-# PGM output
+# image output
 
 
-def grid_to_pgm(grid):
-    """Binary PGM, escape iteration scaled to 0..255 (bounded cells = 0)."""
+def grid_image(grid):
+    """(rows, cols) uint8 image: escape iteration scaled to 55..255,
+    bounded cells 0."""
     it = grid.escape_iter.astype(float)
     img = np.zeros(grid.res, dtype=np.uint8)
     esc = grid.escaped
@@ -156,12 +157,4 @@ def grid_to_pgm(grid):
         img[esc] = np.clip(
             np.round(55 + 200 * it[esc] / top), 0, 255
         ).astype(np.uint8)
-    header = f"P5\n{grid.res[1]} {grid.res[0]}\n255\n".encode()
-    return header + img.tobytes()
-
-
-def mask_to_pgm(mask):
-    mask = np.asarray(mask, dtype=bool)
-    img = np.where(mask, 255, 0).astype(np.uint8)
-    header = f"P5\n{mask.shape[1]} {mask.shape[0]}\n255\n".encode()
-    return header + img.tobytes()
+    return img

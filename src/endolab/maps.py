@@ -38,6 +38,14 @@ class InputError(ValueError):
     done; `endolab` reports it as a config error (exit 2)."""
 
 
+class InfeasibleError(RuntimeError):
+    """A construction found infeasible by trying it; `endolab` exits 3."""
+
+    def __init__(self, message, stage=None):
+        super().__init__(message)
+        self.stage = stage
+
+
 @dataclass(frozen=True)
 class PolyMap:
     """Endomorphism of C^n given by sparse multi-index terms per component."""

@@ -15,18 +15,12 @@ from itertools import product
 import numpy as np
 
 from .julia import dedup_points
-from .maps import (InputError, PolyMap, _raise_overflow, map_kernel,
-                   sup_norm)
+from .maps import (InfeasibleError, InputError, PolyMap, _raise_overflow,
+                   map_kernel, sup_norm)
 from .orbits import orbit, shell_points
 from .periodic import classify, eigenvalues
 
 SUP_NORM_SAMPLES = 10_000
-
-
-class InfeasibleError(RuntimeError):
-    def __init__(self, message, stage=None):
-        super().__init__(message)
-        self.stage = stage
 
 
 @dataclass(frozen=True)
@@ -34,7 +28,6 @@ class Correction:
     corrected: PolyMap
     sup_norm_on_K: float
     constraint_residual: float
-    coeff_norm: float
     condition_number: float
 
 
@@ -235,7 +228,6 @@ def interpolate_correction(f, at, value, jacobian, degree_budget, K,
     sup = sampled_sup_norm(delta, K, seed=seed)
     return Correction(corrected=corrected, sup_norm_on_K=sup,
                       constraint_residual=residual,
-                      coeff_norm=float(np.linalg.norm(x)),
                       condition_number=cond)
 
 

@@ -1,12 +1,16 @@
-"""Deterministic file output: every artifact embeds the config hash and
-tool version so identical configs reproduce bitwise-identical files."""
+"""Deterministic file output, one writer `write_<suffix>(path, payload,
+config)` per file kind: every artifact embeds the config hash and tool
+version so identical configs reproduce bitwise-identical files."""
 
 from __future__ import annotations
 
 import hashlib
 import json
 
+import numpy as np
+
 from . import __version__
+from .maps import PolyMap
 
 
 def config_hash(config):
@@ -18,17 +22,22 @@ def stamp(config):
     return {"config_hash": config_hash(config), "version": __version__}
 
 
+def _comment(prefix, config):
+    s = stamp(config)
+    return f"{prefix} config_hash={s['config_hash']} version={s['version']}\n"
+
+
 def write_json(path, payload, config):
-    payload = dict(payload)
-    payload["meta"] = stamp(config)
+    if isinstance(payload, PolyMap):  # read back as a map: no meta key
+        payload = payload.to_json_dict()
+    else:
+        payload = {**payload, "meta": stamp(config)}
     with open(path, "w") as fh:
         json.dump(payload, fh, sort_keys=True, indent=2, default=_jsonify)
         fh.write("\n")
 
 
 def _jsonify(obj):
-    import numpy as np
-
     if isinstance(obj, complex):
         return {"re": obj.real, "im": obj.imag}
     if isinstance(obj, np.complexfloating):
@@ -43,25 +52,20 @@ def _jsonify(obj):
 
 
 def write_csv(path, body, config):
-    s = stamp(config)
-    header = f"# config_hash={s['config_hash']} version={s['version']}\n"
     with open(path, "w") as fh:
-        fh.write(header)
+        fh.write(_comment("#", config))
         fh.write(body)
 
 
-def write_pgm(path, data, config):
-    s = stamp(config)
-    comment = f"# config_hash={s['config_hash']} version={s['version']}\n"
-    magic, rest = data.split(b"\n", 1)
+def write_pgm(path, image, config):
+    """Binary PGM of a (rows, cols) uint8 image, the stamp a comment."""
+    rows, cols = image.shape
     with open(path, "wb") as fh:
-        fh.write(magic + b"\n" + comment.encode() + rest)
+        fh.write(f"P5\n{_comment('#', config)}{cols} {rows}\n255\n".encode())
+        fh.write(image.tobytes())
 
 
 def write_dot(path, body, config):
-    s = stamp(config)
-    header = (f"// config_hash={s['config_hash']} "
-              f"version={s['version']}\n")
     with open(path, "w") as fh:
-        fh.write(header)
+        fh.write(_comment("//", config))
         fh.write(body)

@@ -34,7 +34,7 @@ import json
 import numpy as np
 
 from endolab.cli import main as cli_main
-from endolab.conley import build_box_map, hurley_report, lyapunov, morse_graph
+from endolab.conley import build_box_map, hurley_report, morse_graph
 from endolab.julia import (
     boundary_extract,
     directed_distance,
@@ -229,7 +229,6 @@ def test_criterion_3_hurley_decomposition():
                           (HALF, Window.square(1, -1, 1), 4)):
         report, g, mg, _ = hurley_report(f, win, depth, m_max=2,
                                          seeds=512, seed=0)
-        lyapunov(mg)
         cover = report["items"]["i_nonrecurrent_in_basins"]["pass"]
         strict = all(mg.lyapunov[u] > mg.lyapunov[v]
                      for u, v in mg.dag_edges)

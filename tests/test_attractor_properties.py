@@ -59,7 +59,7 @@ def box_maps(draw):
 @given(box_maps())
 def test_sink_classes_and_basins(g):
     mg = morse_graph(g)
-    found = attractors(g, mg)
+    found = attractors(mg)
     sinks = [c for c in mg.sink_classes() if mg.recurrent[c]]
     assert len(found) == len(sinks)
     for cid, (U, basin) in zip(sinks, found):

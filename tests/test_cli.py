@@ -157,7 +157,13 @@ class TestPerturb:
         assert rc == 0
         ver = json.loads((out / "verification.json").read_text())
         assert ver["kind"] == "super_attracting" and ver["period"] == 3
-        assert (out / "produced_map.json").exists()
+        # the produced map reads back as a map: it carries no meta key
+        doc = json.loads((out / "produced_map.json").read_text())
+        assert "meta" not in doc
+        h = PolyMap.from_json_dict(doc)
+        q = np.array([0.41 + 0.13j])
+        assert np.abs(h.iterate(q, 3) - q).max() < 1e-8
+        assert np.abs(h.iterate(q, 1) - q).max() > 1e-3
 
     def test_escaping(self, tmp_path, mapfile):
         out = tmp_path / "out"
@@ -188,6 +194,9 @@ class TestPerturb:
                    "--set", "budget", "1"])
         assert rc == 3
         assert capsys.readouterr().err.startswith("infeasible: ")
+        # exit 3 writes nothing: neither --out directory is made
+        assert not (tmp_path / "esc").exists()
+        assert not (tmp_path / "mp").exists()
 
 
 class TestHakim:

@@ -14,7 +14,6 @@ from endolab.conley import (
     attractors,
     build_box_map,
     hurley_report,
-    lyapunov,
     morse_graph,
     morse_to_dot,
     recurrent_mask,
@@ -367,7 +366,7 @@ class TestBoxGraph:
 class TestMorseGraph:
     def test_condensation_acyclic_and_lyapunov_monotone(self):
         g = build_box_map(BASILICA, W, 4)
-        mg = lyapunov(morse_graph(g))
+        mg = morse_graph(g)
         for u, v in mg.dag_edges:
             assert mg.lyapunov[u] > mg.lyapunov[v]
         L = mg.lyapunov[mg.class_of]  # INFINITY indexes node B
@@ -381,9 +380,11 @@ class TestMorseGraph:
     def test_cyclic_condensation_is_an_invariant_breach(self):
         mg = morse_graph(build_box_map(HALF, Window.square(1, -1, 1), 2))
         assert len(mg.recurrent) >= 2
-        mg.dag_edges = np.array([[0, 1], [1, 0]])
+        cyclic = conley.MorseGraph(graph=mg.graph, class_of=mg.class_of,
+                                   recurrent=mg.recurrent,
+                                   dag_edges=np.array([[0, 1], [1, 0]]))
         with pytest.raises(RuntimeError, match="not acyclic"):
-            lyapunov(mg)
+            cyclic.lyapunov
 
     def test_expanding_map_recurrence_is_origin_and_infinity(self):
         g = build_box_map(DOUBLE, Window.square(1, -1, 1), 4)
@@ -396,7 +397,7 @@ class TestMorseGraph:
 
     def test_dot_output(self):
         g = build_box_map(HALF, Window.square(1, -1, 1), 3)
-        mg = lyapunov(morse_graph(g))
+        mg = morse_graph(g)
         dot = morse_to_dot(mg)
         assert dot.startswith("digraph morse {")
         assert dot.count("doublecircle") == int(np.sum(mg.recurrent))
@@ -405,14 +406,14 @@ class TestMorseGraph:
 class TestAttractors:
     def test_half_map_attractors(self):
         g = build_box_map(HALF, Window.square(1, -1, 1), 4)
-        finite = [U for U, _ in attractors(g) if not U[-1]]
+        finite = [U for U, _ in attractors(morse_graph(g)) if not U[-1]]
         assert len(finite) == 1
         c = g.grid.centers()[finite[0][:-1]]
         assert np.abs(c).max() < 0.25
 
     def test_absorbing_invariant(self):
         g = build_box_map(BASILICA, W, 4)
-        for U, basin in attractors(g):
+        for U, basin in attractors(morse_graph(g)):
             for b in np.flatnonzero(U):  # node B, infinity, too
                 assert U[g.indices[g.indptr[b]:g.indptr[b + 1]]].all()
             assert (U <= basin).all()
@@ -421,7 +422,7 @@ class TestAttractors:
         # depth 6 is the first scale at which the cycle class separates
         # from the chain-recurrent collar and becomes a genuine sink
         g = build_box_map(BASILICA, W, 6)
-        finite = [U for U, _ in attractors(g) if not U[-1]]
+        finite = [U for U, _ in attractors(morse_graph(g)) if not U[-1]]
         assert len(finite) == 1
         c = g.grid.centers()[finite[0][:-1]]
         # the attractor clusters around the 2-cycle {0, -1}

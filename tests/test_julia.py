@@ -3,13 +3,13 @@
 import numpy as np
 import pytest
 
-from endolab import julia
+from endolab import __version__, julia, reporting
 from endolab.julia import (
     boundary_extract,
     dedup_points,
     directed_distance,
     escape_grid,
-    grid_to_pgm,
+    grid_image,
     hausdorff,
     repeller_cloud,
 )
@@ -219,17 +219,27 @@ class TestClouds:
 
 
 class TestPGM:
-    def test_header_and_size(self):
+    def test_header_and_size(self, tmp_path):
         g = escape_grid(Z2, W, 32, 50, 2.0)
-        data = grid_to_pgm(g)
-        assert data.startswith(b"P5\n32 32\n255\n")
-        header_len = len(b"P5\n32 32\n255\n")
-        assert len(data) == header_len + 32 * 32
+        img = grid_image(g)
+        assert img.shape == (32, 32) and img.dtype == np.uint8
+        reporting.write_pgm(tmp_path / "g.pgm", img, {})
+        data = (tmp_path / "g.pgm").read_bytes()
+        magic, comment, rest = data.split(b"\n", 2)
+        assert magic == b"P5" and comment.startswith(b"# config_hash=")
+        assert rest == b"32 32\n255\n" + img.tobytes()
 
     def test_bounded_cells_are_black(self):
         g = escape_grid(Z2, W, 32, 50, 2.0)
-        data = grid_to_pgm(g)
-        img = np.frombuffer(data.split(b"255\n", 1)[1],
-                            dtype=np.uint8).reshape(32, 32)
+        img = grid_image(g)
         assert (img[~g.escaped] == 0).all()
         assert (img[g.escaped] > 0).all()
+
+    def test_write_pgm_non_square(self, tmp_path):
+        # the header names width (columns) before height (rows)
+        img = np.arange(15, dtype=np.uint8).reshape(3, 5)
+        cfg = {"seed": 0}
+        reporting.write_pgm(tmp_path / "a.pgm", img, cfg)
+        header = (f"P5\n# config_hash={reporting.config_hash(cfg)} "
+                  f"version={__version__}\n5 3\n255\n").encode()
+        assert (tmp_path / "a.pgm").read_bytes() == header + bytes(range(15))
