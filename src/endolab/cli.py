@@ -9,7 +9,8 @@ Each subcommand takes the config and returns its artifacts as {file
 name: payload}.  `main` alone maps the exit codes: 0 ok, 2 config error
 (InputError), 3 infeasible construction (InfeasibleError); only on 0
 does it make `--out` and write every artifact, through the `reporting`
-writer of its suffix.  Each subcommand names its config keys once, in a
+writer of its suffix.  An `--out` that names a file, or lies under one,
+exits 2 before any work.  Each subcommand names its config keys once, in a
 table of key -> (reader, default); any other key but `seed`, and `map`
 where the subcommand reads a map, exits 2.  So does a value of the wrong
 type, which the readers check, or out of range, which the library
@@ -344,9 +345,21 @@ def _build_parser():
     return p
 
 
+def _check_out(out):
+    """--out, or else its nearest parent that exists, must be a directory:
+    checked before the run, so that a bad path costs no work."""
+    path = os.path.abspath(out)
+    while not os.path.lexists(path):
+        path = os.path.dirname(path)
+    if not os.path.isdir(path):
+        raise InputError(f"--out {out}: {path} is not a directory")
+
+
 def main(argv=None):
     args = _build_parser().parse_args(argv)
+    out = args.out or "."
     try:
+        _check_out(out)
         cfg = _load_config(args)
         artifacts = args.fn(cfg)
     except InputError as e:
@@ -356,7 +369,6 @@ def main(argv=None):
         stage = f" (stage {e.stage})" if e.stage is not None else ""
         print(f"infeasible: {e}{stage}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    out = args.out or "."
     os.makedirs(out, exist_ok=True)
     for name, payload in artifacts.items():
         # looked up per call, so that a wrapper set on reporting is used

@@ -14,10 +14,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .maps import InputError, Window, _step, sup_norm
+from .orbits import _repeats
 from .periodic import DEDUP_TOL, _dedup, find_periodic
 
 # escape_grid steps its cells in tiles of this many (CHANGES.md records the
-# sweep); every tile pays up to n_max steps of Python overhead
+# sweeps); a tile pays Python overhead per step until its last cell escapes
+# or repeats, up to n_max steps
 _TILE_CELLS = 32768
 
 
@@ -56,7 +58,10 @@ def escape_grid(pmap, window, res, n_max, R, fixed=()):
     step maps only the live cells, those still inside, since a step's rows
     do not depend on their batch.  For the same reason the cells run one
     tile of ``_TILE_CELLS`` at a time, so that a tile's temporaries stay
-    in L2: that changes no bit.
+    in L2, and every ``orbits._REPEAT_STEPS`` steps a cell whose state
+    equals, word for word, its state that many steps earlier is retired
+    bounded (-1): a step maps it by its state alone, so every later state
+    was seen already and stayed inside.  Neither changes a bit.
     """
     if res < 2:
         raise InputError("res must be at least 2")
@@ -69,7 +74,7 @@ def escape_grid(pmap, window, res, n_max, R, fixed=()):
     with np.errstate(over="ignore", invalid="ignore"):
         for s in range(0, len(centers), _TILE_CELLS):
             live = s + np.flatnonzero(inside[s:s + _TILE_CELLS])
-            z = centers[live]
+            z, kept = centers[live], None
             for k in range(1, n_max + 1):
                 if live.size == 0:
                     break
@@ -78,6 +83,9 @@ def escape_grid(pmap, window, res, n_max, R, fixed=()):
                 if out.any():
                     esc_iter[live[out]] = k
                     live, z = live[~out], z[~out]
+                same, kept = _repeats(k, live, z, kept)
+                if same is not None:  # periodic from here: stays -1
+                    live, z = live[~same], z[~same]
     return EscapeGrid(window=window, res=(res, res), fixed=tuple(fixed),
                       escape_iter=esc_iter.reshape(res, res))
 

@@ -524,6 +524,25 @@ class TestErrors:
         assert rc == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("under", [False, True],
+                             ids=["file", "under_file"])
+    def test_out_naming_a_file_is_config_error(self, tmp_path, capsys,
+                                               monkeypatch, under):
+        # checked before the run: the experiment is never called, and the
+        # file is left as it was
+        def ran(**kwargs):
+            raise AssertionError("hakim ran before --out was checked")
+
+        monkeypatch.setattr(perturb, "hakim_experiment", ran)
+        afile = tmp_path / "afile"
+        afile.write_text("kept")
+        out = afile / "o" if under else afile
+        rc = main(["hakim", "--out", str(out), "--set", "steps", "10"])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"config error: --out {out}: {afile} is not a directory\n")
+        assert afile.read_text() == "kept"
+
     def test_library_value_error_propagates(self, tmp_path, mapfile,
                                             monkeypatch):
         def broken(*args, **kwargs):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from endolab import __version__, julia, reporting
+from endolab import __version__, julia, orbits, reporting
 from endolab.julia import (
     boundary_extract,
     dedup_points,
@@ -13,11 +13,26 @@ from endolab.julia import (
     hausdorff,
     repeller_cloud,
 )
-from endolab.maps import PolyMap, Window, map_kernel
+from endolab.maps import PolyMap, Window, _step, map_kernel
 
 Z2 = PolyMap.from_coeffs_1d([0, 0, 1])
 BASILICA = PolyMap.from_coeffs_1d([-1, 0, 1])
 W = Window.square(1, -1.75, 1.75)
+CARDIOID = PolyMap.from_coeffs_1d([0.2 + 0.1j, 0, 1])
+RABBIT = PolyMap.from_coeffs_1d([-0.1226 + 0.7449j, 0, 1])
+# its attracting 5-cycle is periodic in floats with period 5, which
+# divides neither 1 nor 12: no bounded cell's state ever repeats
+FIVE_BULB = PolyMap.from_coeffs_1d([-0.5 + 0.56j, 0, 1])
+# (z^2 + 0.2 + 0.1i + 0.05 w, w^2 + C2): the slice at W0, the attracting
+# fixed point of w^2 + C2, holds an attracting fixed point whose float
+# orbits settle on a 2-cycle after some 60 steps.  With real constants the
+# imaginary parts would instead decay to 0 through underflow, some 1,100
+# steps
+C2 = -0.1 + 0.1j
+W0 = (1 - np.sqrt(1 - 4 * C2)) / 2
+TRIANGULAR = PolyMap.from_terms(2, ((((2, 0), 1.0), ((0, 0), 0.2 + 0.1j),
+                                     ((0, 1), 0.05)),
+                                    (((0, 2), 1.0), ((0, 0), C2))))
 
 
 def full_grid_escape(pmap, grid, n_max, R):
@@ -108,28 +123,51 @@ class TestEscapeGrid:
             with pytest.raises(ValueError, match="finite"):
                 escape_grid(f, win, 8, 10, 2.0, fixed=bad)
 
-    @pytest.mark.parametrize("f,win,res,n_max,R,fixed", [
+    @pytest.mark.parametrize("f,win,res,n_max,R,fixed,retires", [
         # cells outside R at step 0
-        (Z2, Window.square(1, -3, 3), 64, 100, 2.0, ()),
-        (BASILICA, W, 96, 200, 2.0, ()),
+        (Z2, Window.square(1, -3, 3), 64, 100, 2.0, (), True),
+        (BASILICA, W, 96, 200, 2.0, (), True),
         (PolyMap.from_terms(2, ((((2, 0), 1.0), ((0, 1), 0.3j)),
                                 (((0, 2), 1.0), ((1, 0), -0.2)))),
-         Window.square(2, -2, 2), 48, 60, 3.0, (0.1, -0.2)),
-        (BASILICA, Window.square(1, -3, 3), 32, 1, 2.0, ()),
+         Window.square(2, -2, 2), 48, 60, 3.0, (0.1, -0.2), False),
+        (BASILICA, Window.square(1, -3, 3), 32, 1, 2.0, (), False),
         # past 1e150 a value counts as overflow: only that ends an orbit
-        (Z2, Window.square(1, -3, 3), 48, 40, 1e200, ()),
-    ], ids=["z2_step0", "basilica", "slice_2d", "n_max_1", "overflow_only"])
+        (Z2, Window.square(1, -3, 3), 48, 40, 1e200, (), True),
+        # bounded cells settle on an exactly periodic float state
+        (CARDIOID, W, 64, 200, 2.0, (), True),
+        (RABBIT, W, 64, 120, 2.0, (), True),
+        (TRIANGULAR, Window.square(2, -1.75, 1.75), 48, 96, 3.0,
+         (W0.real, W0.imag), True),
+        (FIVE_BULB, W, 64, 120, 2.0, (), False),
+    ], ids=["z2_step0", "basilica", "slice_2d", "n_max_1", "overflow_only",
+            "cardioid", "rabbit_3", "slice_2d_sink", "five_bulb"])
     def test_live_set_matches_full_grid_loop(self, f, win, res, n_max, R,
-                                             fixed, monkeypatch):
+                                             fixed, retires, monkeypatch):
         # in one tile, and in tiles of 1000 cells, which divide no res^2
-        # here, so the last tile is ragged
+        # here, so the last tile is ragged; cells whose state repeats are
+        # retired every step, every 12 steps, or never within n_max
+        stepped = {}  # (tile, every) -> rows stepped
+
+        def counted(pmap, p, jacobian):
+            stepped[tile, every] = stepped.get((tile, every), 0) + len(p)
+            return _step(pmap, p, jacobian)
+
+        monkeypatch.setattr(julia, "_step", counted)
+        default, want = orbits._REPEAT_STEPS, None
         for tile in (res * res, 1000):
             monkeypatch.setattr(julia, "_TILE_CELLS", tile)
-            g = escape_grid(f, win, res, n_max, R, fixed=fixed)
-            want = full_grid_escape(f, g, n_max, R)
-            assert g.escape_iter.dtype == want.dtype
-            assert np.array_equal(g.escape_iter.view(np.int64),
-                                  want.view(np.int64))
+            for every in (1, default, n_max + 1):
+                monkeypatch.setattr(orbits, "_REPEAT_STEPS", every)
+                g = escape_grid(f, win, res, n_max, R, fixed=fixed)
+                if want is None:
+                    want = full_grid_escape(f, g, n_max, R)
+                assert g.escape_iter.dtype == want.dtype
+                assert np.array_equal(g.escape_iter.view(np.int64),
+                                      want.view(np.int64))
+            # retiring only drops rows: never a step more
+            off = stepped[tile, n_max + 1]
+            assert (stepped[tile, default] < off) == retires
+            assert stepped[tile, 1] <= off
         assert g.escaped.any() and not g.escaped.all()
         if R > 1e150:
             assert g.escape_iter.min() == -1 and (g.escape_iter != 0).all()

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from endolab.maps import PolyMap, Window, map_kernel
+from endolab import orbits
+from endolab.maps import PolyMap, Window, _step, map_kernel
 from endolab.orbits import basin_mask, orbit, shell_points
 from endolab.periodic import classify, find_periodic
 from endolab.perturb import hakim_map, monomials
@@ -63,6 +64,19 @@ def orbit_per_kernel_call(f, p, k):
             steps = min(steps, j)
         pts.append(x)
     return np.array(pts), steps
+
+
+def count_steps(monkeypatch):
+    """Make orbits._step count the rows it maps; returns the count, a
+    one-item list."""
+    rows = [0]
+
+    def counted(pmap, p, jacobian):
+        rows[0] += len(p)
+        return _step(pmap, p, jacobian)
+
+    monkeypatch.setattr(orbits, "_step", counted)
+    return rows
 
 
 def basin_mask_all_points(f, cycle, pts, n_max, tol, R):
@@ -193,7 +207,8 @@ class TestBasinTests:
         # the airplane z^2 + c: 0 lies on a super-attracting 3-cycle
         (PolyMap.from_coeffs_1d([-1.7548776662466927, 0, 1]), None, 0.5),
     ], ids=["z2_fixed", "basilica_2", "quad_2d", "airplane_3"])
-    def test_live_set_matches_all_point_loop(self, f, cycle_points, tol):
+    def test_live_set_matches_all_point_loop(self, f, cycle_points, tol,
+                                             monkeypatch):
         if cycle_points is None:  # the orbit of the origin
             cycle_points = orbit(f, np.zeros(f.n), 60)[0][-3:]
             if f.n == 2:
@@ -206,17 +221,70 @@ class TestBasinTests:
         seen = {"overflow": 0, "escape": 0, "broke": 0}
         # past a radius this small, points would come back and lock
         top = max(np.abs(q).max() for q in cycle.points)
+        rows, default = count_steps(monkeypatch), orbits._REPEAT_STEPS
         for R in (top + 0.5, 3.0, 1e200):
-            for n_max in (1, 7, 300):
-                got = basin_mask(f, cycle, pts, n_max=n_max, tol=tol, R=R)
+            # 1000 steps reach past the second check, and past the
+            # hundreds of steps in which quad_2d's imaginary parts
+            # underflow to 0, so its locked points repeat too
+            for n_max in (1, 7, 300, 1000):
                 want, died = basin_mask_all_points(f, cycle, pts, n_max,
                                                    tol, R)
-                assert got.dtype == bool
-                assert np.array_equal(got, want)
+                stepped = {}
+                # points whose state repeats are retired every round,
+                # every 12 rounds, or never within the horizon
+                for every in (1, default, n_max + 1):
+                    monkeypatch.setattr(orbits, "_REPEAT_STEPS", every)
+                    rows[0] = 0
+                    got = basin_mask(f, cycle, pts, n_max=n_max, tol=tol,
+                                     R=R)
+                    stepped[every] = rows[0]
+                    assert got.dtype == bool
+                    assert np.array_equal(got, want)
+                assert stepped[1] <= stepped[n_max + 1]
+                assert stepped[default] <= stepped[n_max + 1]
                 for why in seen:
                     seen[why] += died[why]
+            # on the longest horizon some locked points repeat and retire
+            assert stepped[default] < stepped[n_max + 1]
         assert got.any() and not got.all()
         assert min(seen.values()) > 0, seen
+
+    def test_bounded_cycle_that_never_locks(self, monkeypatch):
+        # 1.0 is a fixed point of z^2 at distance 1 from the cycle at 0,
+        # and -1.0 lands on it: both states repeat, unlocked, so both are
+        # retired failing.  0.5 locks, reaches 0 by underflow and is
+        # retired passing
+        cycle = classify(Z2, [np.zeros(1, dtype=complex)], residual=0.0)
+        pts = np.array([[1.0 + 0j], [-1.0 + 0j], [0.5 + 0j]])
+        want, _ = basin_mask_all_points(Z2, cycle, pts, 300, 1e-6, 3.0)
+        assert want.tolist() == [False, False, True]
+        rows, stepped = count_steps(monkeypatch), {}
+        default = orbits._REPEAT_STEPS
+        for every in (1, default, 301):
+            monkeypatch.setattr(orbits, "_REPEAT_STEPS", every)
+            rows[0] = 0
+            got = basin_mask(Z2, cycle, pts, n_max=300, tol=1e-6, R=3.0)
+            stepped[every] = rows[0]
+            assert np.array_equal(got, want)
+        assert stepped[301] == 3 * 300
+        assert stepped[1] < stepped[default] < stepped[301]
+
+    def test_state_periodic_from_the_start(self, monkeypatch):
+        # -1.75 z^3 + 3.75 z^2 fixes 0, super-attracting, and swaps 1 and 2
+        # exactly in floats.  From 1 the orbit leaves tol 1.5 of 0, comes
+        # back and locks at round 2, and breaks at round 3: it fails.  Its
+        # start repeats at every even round, but was never tested, so the
+        # first check keeps states and compares none
+        f = PolyMap.from_coeffs_1d([0, 0, 3.75, -1.75])
+        cycle = classify(f, [np.zeros(1, dtype=complex)], residual=0.0)
+        assert cycle.klass == "super_attracting"
+        pts = np.array([[1.0 + 0j], [0.1 + 0j]])
+        want, _ = basin_mask_all_points(f, cycle, pts, 100, 1.5, 10.0)
+        assert want.tolist() == [False, True]
+        for every in (1, 2, orbits._REPEAT_STEPS, 101):
+            monkeypatch.setattr(orbits, "_REPEAT_STEPS", every)
+            got = basin_mask(f, cycle, pts, n_max=100, tol=1.5, R=10.0)
+            assert np.array_equal(got, want)
 
     def test_requires_attracting_cycle(self):
         cycles = find_periodic(Z2, 1, Window.square(1, -2, 2), seeds=128,
@@ -224,6 +292,31 @@ class TestBasinTests:
         rep = [c for c in cycles if c.klass == "repelling"][0]
         with pytest.raises(ValueError):
             basin_mask(Z2, rep, np.array([0.1 + 0j]))
+
+
+class TestRepeats:
+    def test_compares_every_word_of_its_own_row(self, monkeypatch):
+        monkeypatch.setattr(orbits, "_REPEAT_STEPS", 3)
+        rng = np.random.default_rng(5)
+        live = np.array([1, 4, 5, 7, 9, 10, 12, 20])
+        x = rng.normal(size=(8, 2)) + 1j * rng.normal(size=(8, 2))
+        x[5, 1] = 0j
+        assert orbits._repeats(2, live, x, "kept") == (None, "kept")
+        same, kept = orbits._repeats(3, live, x, None)  # only keeps
+        assert same is None and np.array_equal(kept[0], live)
+        # rows 4, 7 and 20 leave.  Rows 1 and 12 keep their states; 5, 9
+        # and 10 each change one word: the last, the first, and +0 to -0
+        rest = [0, 2, 4, 5, 6]
+        y = x[rest]
+        y[1, 1] = complex(y[1, 1].real, np.nextafter(y[1, 1].imag, 9.0))
+        y[2, 0] = complex(np.nextafter(y[2, 0].real, 9.0), y[2, 0].imag)
+        y[3, 1] = complex(0.0, -0.0)
+        same, kept = orbits._repeats(6, live[rest], y, kept)
+        assert same.tolist() == [True, False, False, False, True]
+        assert np.array_equal(kept[0], live[rest])
+        # nothing repeats: None, and the states are kept all the same
+        same, kept = orbits._repeats(9, live[rest], y + 1, kept)
+        assert same is None and kept[1].shape == (5, 4)
 
 
 class TestShellPoints:
