@@ -104,6 +104,11 @@ def _newton_batch(pmap, x0, m, tol, max_steps=50, max_halvings=30):
     dropped.  A dropped seed, or one that runs out of max_steps, keeps its
     last finite residual; only a seed that overflows at its first
     evaluation keeps residual inf.
+
+    Each Newton step s is damped: x moves to x - 2^-k s for the first
+    k < max_halvings at which max |g| is no larger than at x (a trial
+    whose orbit overflows has max |g| = inf and fails), and where no such
+    k passes, to x - 2^-max_halvings s, which is not evaluated.
     """
     x = np.array(x0, dtype=complex)
     m = np.broadcast_to(m, len(x))
@@ -111,25 +116,19 @@ def _newton_batch(pmap, x0, m, tol, max_steps=50, max_halvings=30):
     active = np.ones(len(x), dtype=bool)
     eye = np.eye(pmap.n, dtype=complex)
 
-    for k in range(max_steps):
+    for _ in range(max_steps):
         idx = np.flatnonzero(active)
-        if idx.size == 0:
-            break
         xs = x[idx]
         fx, J, steps = map_kernel(pmap, xs, m[idx], jacobian=eye)
         ok = steps == m[idx]  # seeds whose orbit overflows are dropped
         active[idx[~ok]] = False
         idx = idx[ok]
-        if idx.size == 0:
-            break
         g, J = fx[ok] - xs[ok], J[ok] - eye
         r = sup_norm(g)
         res[idx] = r
         done = r < tol
         active[idx[done]] = False
         idx = idx[~done]
-        if idx.size == 0:
-            break
         g, J, r = g[~done], J[~done], r[~done]
         with np.errstate(all="ignore"):
             try:
@@ -143,25 +142,26 @@ def _newton_batch(pmap, x0, m, tol, max_steps=50, max_halvings=30):
         ok = np.isfinite(step).all(axis=-1)
         active[idx[~ok]] = False
         idx, step, r = idx[ok], step[ok], r[ok]
-        if idx.size == 0:
+        if idx.size == 0:  # every seed has converged or been dropped
             break
-        # damping: halve until the residual no longer increases; a trial
-        # point whose orbit overflows has residual inf.  Only the halved
-        # rows are evaluated again, and only they can get worse.
-        t_damp = np.ones(len(idx))
+        # damping (see above): every row tries k = 0; the rows that fail try
+        # k = 1 ... max_halvings - 1 as one ladder batch, one map_kernel call
         best = x[idx] - step
-        trial = np.arange(len(idx))
-        for _ in range(max_halvings):
-            fb, _, steps = map_kernel(pmap, best[trial], m[idx[trial]])
-            ok = steps == m[idx[trial]]
-            rn = np.full(len(trial), np.inf)
-            rn[ok] = sup_norm(fb[ok] - best[trial[ok]])
-            trial = trial[~(rn <= r[trial])
-                          & (t_damp[trial] > 2.0 ** -float(max_halvings))]
-            if trial.size == 0:
-                break
-            t_damp[trial] *= 0.5
-            best[trial] = x[idx[trial]] - t_damp[trial, None] * step[trial]
+        with np.errstate(over="ignore", invalid="ignore"):  # overflowed rows
+            fb, _, steps = map_kernel(pmap, best, m[idx])
+            rn = np.where(steps == m[idx], sup_norm(fb - best), np.inf)
+            fail = np.flatnonzero(~(rn <= r))
+            if fail.size and max_halvings:
+                t = np.ldexp(1.0, -np.arange(1, max_halvings + 1))
+                ladder = x[idx[fail], None] - t[:, None] * step[fail, None]
+                trial = ladder[:, :-1].reshape(-1, pmap.n)
+                mt = np.repeat(m[idx[fail]], max_halvings - 1)
+                fb, _, steps = map_kernel(pmap, trial, mt)
+                rn = np.where(steps == mt, sup_norm(fb - trial), np.inf)
+                up = ~(rn.reshape(len(fail), -1) <= r[fail, None])
+                # the first level that passes, or the last where none does
+                k = np.logical_and.accumulate(up, axis=1).sum(axis=1)
+                best[fail] = ladder[np.arange(len(fail)), k]
         x[idx] = best
     return x, res
 

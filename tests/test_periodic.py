@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from endolab import periodic
 from endolab.maps import PolyMap, Window, map_kernel, sup_norm
 from endolab.periodic import (
     DEDUP_TOL,
@@ -37,6 +38,10 @@ JOINT_CASES = {  # map -> (window, seed with a singular Newton system)
     "tri2": (TRI2, Window.square(2, -2, 2), (0.5, 0.1j)),
     "tri3": (TRI3, Window.square(3, -2, 2), (0.5, 0.1j, -0.2)),
 }
+
+# a seed within an ulp of the critical point 16^(-1/15) of z^16 - z: its
+# Newton step (about 3.5e15) overflows z^16 at the first few levels
+OVERFLOW_TRIAL = {"z2": 0.8312378961427878}
 
 
 def mobius(n):
@@ -131,6 +136,120 @@ class TestNewtonBatch:
         assert np.array_equal(res2[:-1], res)
         assert pts2[-1, 0] == bad and res2[-1] == res_bad
         assert (res < 1e-10).sum() > 32
+
+    @pytest.mark.parametrize("max_halvings", [30, 3])
+    @pytest.mark.parametrize("name", sorted(JOINT_CASES))
+    def test_ladder_matches_halving_loop(self, name, max_halvings,
+                                         monkeypatch):
+        f, window, singular = JOINT_CASES[name]
+        blocks = [window.sample(48, seed=11 + m) for m in range(1, 5)]
+        # a few ulps off the singular seed, D f - I is nearly singular: the
+        # step is huge and fails every level, so the row takes the fallback
+        near = np.array(singular, dtype=complex).reshape(f.n)
+        near[0] += 4 * 2.0 ** -53
+        blocks[0] = np.vstack([blocks[0], near])
+        if name in OVERFLOW_TRIAL:
+            blocks[3] = np.vstack([blocks[3],
+                                   np.full((1, f.n), OVERFLOW_TRIAL[name])])
+        m = np.concatenate([np.full(len(b), k) for k, b in
+                            enumerate(blocks, start=1)])[::-1]
+        x0 = np.concatenate(blocks)[::-1]
+        log = dict(levels=np.zeros(max_halvings + 1, dtype=np.intp),
+                   overflow=0, full=0, failed=0, iterations=0, ladders=0)
+        want = halving_loop_newton(f, x0, m, 1e-10, log,
+                                   max_halvings=max_halvings)
+        calls = []  # rows of each map_kernel call without a Jacobian
+
+        def counted(pmap, p, m=1, jacobian=False):
+            if jacobian is False:
+                calls.append(len(p))
+            return map_kernel(pmap, p, m, jacobian)
+
+        monkeypatch.setattr(periodic, "map_kernel", counted)
+        got = _newton_batch(f, x0, m, 1e-10, max_halvings=max_halvings)
+        for a, b in zip(got, want):
+            assert np.array_equal(words(a), words(b))
+        # one call at the full step per Newton step and one ladder where a
+        # row failed it, max_halvings - 1 levels per failed row: the
+        # fallback 2^-max_halvings is never evaluated
+        assert len(calls) == log["iterations"] + log["ladders"]
+        assert sum(calls) == log["full"] + log["failed"] * (max_halvings - 1)
+        levels = log["levels"]
+        assert levels[0] > 0 and levels[-1] > 0  # the full step, the fallback
+        if max_halvings == 30:
+            assert levels[4:-1].any()  # a deep level
+        if name in OVERFLOW_TRIAL:
+            assert log["overflow"] > 0
+
+
+def halving_loop_newton(pmap, x0, m, tol, log, max_steps=50, max_halvings=30):
+    """_newton_batch as it ran with one map_kernel call per halving level,
+    the reference for its ladder batch.  ``log`` counts the level each
+    damped row took (max_halvings: the fallback), the trials whose orbit
+    overflowed, the rows damped and the rows that failed the full step,
+    and the Newton steps damped and those in which a row failed it."""
+    x = np.array(x0, dtype=complex)
+    m = np.broadcast_to(m, len(x))
+    res = np.full(len(x), np.inf)
+    active = np.ones(len(x), dtype=bool)
+    eye = np.eye(pmap.n, dtype=complex)
+    for _ in range(max_steps):
+        idx = np.flatnonzero(active)
+        if idx.size == 0:
+            break
+        xs = x[idx]
+        fx, J, steps = map_kernel(pmap, xs, m[idx], jacobian=eye)
+        ok = steps == m[idx]
+        active[idx[~ok]] = False
+        idx = idx[ok]
+        if idx.size == 0:
+            break
+        g, J = fx[ok] - xs[ok], J[ok] - eye
+        r = sup_norm(g)
+        res[idx] = r
+        done = r < tol
+        active[idx[done]] = False
+        idx = idx[~done]
+        if idx.size == 0:
+            break
+        g, J, r = g[~done], J[~done], r[~done]
+        with np.errstate(all="ignore"):
+            try:
+                step = np.linalg.solve(J, g[..., None])[..., 0]
+            except np.linalg.LinAlgError:
+                ok = np.linalg.slogdet(J)[0] != 0
+                step = np.full_like(g, np.nan)
+                step[ok] = np.linalg.solve(J[ok], g[ok, :, None])[..., 0]
+        ok = np.isfinite(step).all(axis=-1)
+        active[idx[~ok]] = False
+        idx, step, r = idx[ok], step[ok], r[ok]
+        if idx.size == 0:
+            break
+        t_damp = np.ones(len(idx))
+        best = x[idx] - step
+        trial = np.arange(len(idx))
+        level = np.zeros(len(idx), dtype=np.intp)
+        for h in range(max_halvings):
+            fb, _, steps = map_kernel(pmap, best[trial], m[idx[trial]])
+            ok = steps == m[idx[trial]]
+            rn = np.full(len(trial), np.inf)
+            rn[ok] = sup_norm(fb[ok] - best[trial[ok]])
+            log["overflow"] += int((~ok).sum())
+            trial = trial[~(rn <= r[trial])
+                          & (t_damp[trial] > 2.0 ** -float(max_halvings))]
+            if h == 0:
+                log["failed"] += len(trial)
+                log["ladders"] += bool(trial.size)
+            if trial.size == 0:
+                break
+            level[trial] += 1
+            t_damp[trial] *= 0.5
+            best[trial] = x[idx[trial]] - t_damp[trial, None] * step[trial]
+        log["levels"] += np.bincount(level, minlength=max_halvings + 1)
+        log["full"] += len(idx)
+        log["iterations"] += 1
+        x[idx] = best
+    return x, res
 
 
 def words(a):
