@@ -22,15 +22,9 @@ _BLOCK_ROWS = 8192
 
 
 class MapOverflowError(ArithmeticError):
-    """Evaluation left the representable range.
-
-    ``index`` is the orbit step at which the overflow occurred (0 for a
-    single evaluation).
-    """
-
-    def __init__(self, message="numeric overflow", index=0):
-        super().__init__(message)
-        self.index = index
+    """Evaluation left the representable range: "numeric overflow at orbit
+    index k", k the first step at which a point left it (0 for a single
+    evaluation)."""
 
 
 class InputError(ValueError):
@@ -131,10 +125,7 @@ class PolyMap:
 
     def iterated_jet(self, p, m):
         """Value and chain-rule Jacobian of the m-th iterate at p."""
-        if m < 1:
-            raise ValueError("m must be >= 1")
-        value, jac, steps = map_kernel(self, p, m,
-                                       jacobian=np.eye(self.n, dtype=complex))
+        value, jac, steps = map_kernel(self, p, m, jacobian=True)
         _raise_overflow(steps, m)
         return Jet(value=value, jacobian=jac)
 
@@ -186,26 +177,32 @@ class Jet:
 
 
 def _as_points(p, n):
-    """p as a batch (..., n), and whether it was one bare point, (n,) or 0-d
-    on a 1-D map; a bare point becomes a (1, n) batch."""
+    """p, one point (n,) or a batch (..., n), as a batch, and whether it was
+    one point, which becomes a (1, n) batch.  Any other shape, a 0-d point
+    on a 1-D map included, is a ValueError."""
     p = np.asarray(p, dtype=complex)
-    if p.shape[-1:] != (n,) and not (p.ndim == 0 and n == 1):
+    if p.shape[-1:] != (n,):
         raise ValueError(f"point of shape {p.shape} for a map of dimension {n}")
-    bare = p.ndim <= 1
+    bare = p.ndim == 1
     return (p.reshape(1, n) if bare else p), bare
 
 
 def map_kernel(pmap, p, m=1, jacobian=False):
     """f^m at a batch of points, with overflow as a mask, not an error.
 
-    ``p`` has shape (..., n).  Returns ``(value, jac, steps)``:
+    ``p`` is one point (n,) or a batch (..., n).  ``m`` >= 1 is an int or
+    one count per point, non-increasing along an (S, n) batch (else
+    ValueError, checked over the whole batch): step k maps only the prefix
+    with m > k, so rows keep their int-m bits.  ``jacobian`` is a bool (any
+    other value is a TypeError, so that a 1x1 array is not read as its
+    truth value).  Returns ``(value, jac, steps)``:
 
     * ``value`` (..., n) is f^m(p);
-    * ``jac`` is None when ``jacobian`` is False.  When it is True, jac is
-      the Jacobian of f^m, the product of the step Jacobians; when it is
-      an (n, n) matrix T, that product times T.  ``iterated_jet`` seeds
-      the product with the identity and ``jet`` does not, which keeps
-      both bit-identical to their step-by-step definitions;
+    * ``jac`` is None without ``jacobian``; with it, jac (..., n, n) is the
+      Jacobian of f^m, the step Jacobians' product J_m ... J_1: step 0
+      takes J_1 itself and step k multiplies J_(k+1) in on the left, which
+      keeps ``jet`` and ``iterated_jet`` bit-identical to their
+      step-by-step definitions;
     * ``steps`` (...) counts the steps each point made inside the finite
       range (every value and Jacobian entry finite, |value| <= 1e150).  A
       point is ok where ``steps == m``; otherwise its value and Jacobian
@@ -217,49 +214,39 @@ def map_kernel(pmap, p, m=1, jacobian=False):
     own batches).  For the same reason an (S, n) batch of more than
     ``_BLOCK_ROWS`` rows runs one row block at a time, its per-point m
     sliced along, so that a block's temporaries stay in L2: that changes
-    no bit.  A bare (n,) point is a (1, n) batch, squeezed on
-    return, so it has the bits of its row in any batch.
-    ``m`` >= 0; m = 0 returns a copy of p, and of T or the identity.  It
-    may be per point (>= 1, non-increasing along an (S, n) batch, else
-    ValueError, checked over the whole batch): step k maps only the prefix
-    with m > k, so rows keep their int-m bits.
+    no bit.  A bare (n,) point is a (1, n) batch, squeezed on return, so
+    it has the bits of its row in any batch.
     """
+    if not isinstance(jacobian, bool):
+        raise TypeError(f"jacobian must be a bool, not {type(jacobian)}")
     p, bare = _as_points(p, pmap.n)
     m = np.asarray(m)
-    if (m < (1 if m.ndim else 0)).any():
-        raise ValueError("m must be >= 0, and >= 1 per point")
+    if (m < 1).any():
+        raise ValueError("m must be >= 1")
     if m.ndim and (m.shape != (len(p),) or p.ndim != 2
                    or (m[1:] > m[:-1]).any()):
         raise ValueError("a per-point m must be non-increasing, one per row "
                          "of an (S, n) batch")
     steps = np.full(p.shape[:-1], m)
-    if p.ndim == 2 and len(p) > _BLOCK_ROWS and m.any():
+    if p.ndim == 2 and len(p) > _BLOCK_ROWS:
         x = np.empty_like(p)
-        jac = (None if jacobian is False
-               else np.empty(p.shape + (pmap.n,), dtype=complex))
+        jac = np.empty(p.shape + (pmap.n,), dtype=complex) if jacobian else None
         for s in range(0, len(p), _BLOCK_ROWS):
             rows = slice(s, s + _BLOCK_ROWS)
             x[rows], J, steps[rows] = map_kernel(
                 pmap, p[rows], m[rows] if m.ndim else m, jacobian)
-            if jac is not None:
+            if jacobian:
                 jac[rows] = J
         return x, jac, steps
-    jac = None
-    if jacobian is True and not m.any():  # f^0 is the identity
-        jacobian = np.eye(pmap.n, dtype=complex)
-    if not isinstance(jacobian, bool):
-        jac = np.broadcast_to(jacobian, p.shape + (pmap.n,)).copy()
-    x = p if m.any() else p.copy()  # m = 0 must not hand back p itself
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(m.max(initial=0)):
+        x, jac, _, ok = _step(pmap, p, jacobian)  # every point makes step 0
+        steps[~ok] = 0
+        for k in range(1, m.max(initial=1)):
             live = ... if m.ndim == 0 else slice(np.count_nonzero(m > k))
-            v, J, _, ok = _step(pmap, x[live], jacobian is not False)
-            if k == 0:  # every point makes step 0: x and jac become ours
-                x, jac = v, J if jac is None else J @ jac
-            else:
-                x[live] = v
-                if J is not None:
-                    jac[live] = J @ jac[live]
+            v, J, _, ok = _step(pmap, x[live], jacobian)
+            x[live] = v
+            if jacobian:
+                jac[live] = J @ jac[live]
             if not ok.all():
                 steps[live][~ok & (steps[live] > k)] = k  # first failed step
     if bare:
@@ -280,9 +267,8 @@ def sup_norm(x):
 def _raise_overflow(steps, m):
     """MapOverflowError at the first orbit step where a point overflowed."""
     if (steps < m).any():
-        k = int(steps.min())
-        raise MapOverflowError(f"numeric overflow at orbit index {k}",
-                               index=k)
+        raise MapOverflowError(
+            f"numeric overflow at orbit index {int(steps.min())}")
 
 
 def _step(pmap, p, jacobian):

@@ -21,11 +21,12 @@ def orbit(pmap, p, k):
     """The orbit table f^0(p), ..., f^k(p) of a batch p (..., n), or of one
     bare (n,) point: ``(points, steps)``.
 
-    ``points`` (k + 1, ..., n) steps the whole batch with ``_step``, so
-    row j has the bits of ``map_kernel(pmap, p, j)[0]``.  ``steps`` (...)
-    counts the steps each point made inside the finite range, as
-    ``map_kernel``'s does: rows 0..steps of a point mean something, the
-    rest do not.  Callers read their own stop rule off the table.
+    ``points`` (k + 1, ..., n) steps the whole batch with ``_step``: row 0
+    is p, and row j >= 1 has the bits of ``map_kernel(pmap, p, j)[0]``.
+    ``steps`` (...) counts the steps each point made inside the finite
+    range, as ``map_kernel``'s does: rows 0..steps of a point mean
+    something, the rest do not.  Callers read their own stop rule off the
+    table.
     """
     x, bare = _as_points(p, pmap.n)
     pts = [x]

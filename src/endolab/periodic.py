@@ -65,14 +65,15 @@ def classify_multipliers(multipliers, jacobian=None):
     return klass.tolist()
 
 
-def classify(pmap, points, residual=None):
+def classify(pmap, points):
     """Build a Cycle record from verified orbit points.
 
     ``points``: the full cycle, in orbit order; multipliers come from the
     iterated Jacobian over one full period at points[0], as a one-row
-    ``_cycle_records`` batch: the bits find_periodic gives the cycle."""
+    ``_cycle_records`` batch: the bits find_periodic gives the cycle.  The
+    residual is max |f^m(points[0]) - points[0]|."""
     block = np.array([np.reshape(p, pmap.n) for p in points], dtype=complex)
-    return _cycle_records(pmap, block[None], residual)[0]
+    return _cycle_records(pmap, block[None], None)[0]
 
 
 def _cycle_records(pmap, block, residual):
@@ -119,7 +120,7 @@ def _newton_batch(pmap, x0, m, tol, max_steps=50, max_halvings=30):
     for _ in range(max_steps):
         idx = np.flatnonzero(active)
         xs = x[idx]
-        fx, J, steps = map_kernel(pmap, xs, m[idx], jacobian=eye)
+        fx, J, steps = map_kernel(pmap, xs, m[idx], jacobian=True)
         ok = steps == m[idx]  # seeds whose orbit overflows are dropped
         active[idx[~ok]] = False
         idx = idx[ok]

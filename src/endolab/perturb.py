@@ -458,7 +458,7 @@ def hakim_experiment(dim, start, steps=10_000, shell_radius=0.05,
     shell = shell_points(np.zeros(dim, dtype=complex), shell_radius, dim)
     growth = []
     for k in growth_checkpoints:
-        _, jac, made = map_kernel(f, shell, k, jacobian=np.eye(dim))
+        _, jac, made = map_kernel(f, shell, k, jacobian=True)
         ok = made == k  # an overflowing shell point counts as inf
         norm = np.full(len(shell), np.inf)
         norm[ok] = np.linalg.svd(jac[ok], compute_uv=False).max(axis=-1)

@@ -7,8 +7,6 @@ from __future__ import annotations
 import hashlib
 import json
 
-import numpy as np
-
 from . import __version__
 from .maps import PolyMap
 
@@ -38,16 +36,8 @@ def write_json(path, payload, config):
 
 
 def _jsonify(obj):
-    if isinstance(obj, complex):
+    if isinstance(obj, complex):  # np.complex128 is a complex
         return {"re": obj.real, "im": obj.imag}
-    if isinstance(obj, np.complexfloating):
-        return {"re": float(obj.real), "im": float(obj.imag)}
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, (frozenset, set)):
-        return sorted(obj)
     raise TypeError(f"not JSON-serializable: {type(obj)}")
 
 

@@ -16,8 +16,8 @@ from test_maps import random_map, words  # noqa: E402
 @st.composite
 def kernel_calls(draw):
     """A random map (n <= 3, degree <= 5), a block size, a batch of about a
-    multiple of it with some rows that overflow, a scalar or per-point m
-    and a jacobian mode."""
+    multiple of it with some rows that overflow, an m >= 1, scalar or per
+    point, and whether to take the Jacobian."""
     n, degree = draw(st.integers(1, 3)), draw(st.integers(1, 5))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     block = draw(st.integers(1, 9))
@@ -30,11 +30,9 @@ def kernel_calls(draw):
         m = np.sort(draw(st.lists(st.integers(1, 4), min_size=rows,
                                   max_size=rows)))[::-1]
     else:
-        m = draw(st.integers(0, 4))
-    jacobian = draw(st.sampled_from([False, True, "seed"]))
-    if jacobian == "seed":
-        jacobian = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    return random_map(n, degree, rng=rng), block, pts, m, jacobian
+        m = draw(st.integers(1, 4))
+    return (random_map(n, degree, rng=rng), block, pts, m,
+            draw(st.booleans()))
 
 
 @given(kernel_calls())

@@ -121,23 +121,28 @@ class TestJets:
                                       words(f.iterate(p, 3)))
 
     def test_chain_rule_factorization(self):
+        # word for word: the iterated Jacobian is the product J_m ... J_1 of
+        # one-row jet Jacobians along the orbit, J_1 taken as it is
         rng = np.random.default_rng(3)
         for n in (1, 2, 3):
-            f = random_map(n, rng=rng)
-            p = rng.normal(scale=0.5, size=n) + 1j * rng.normal(scale=0.5,
-                                                                size=n)
-            m = 4
-            jt = f.iterated_jet(p, m)
-            # chain rule: product of single-step Jacobians along the orbit
-            x = p
-            prod = np.eye(n, dtype=complex)
-            for _ in range(m):
-                step = f.jet(x)
-                prod = step.jacobian @ prod
-                x = step.value
-            assert np.allclose(jt.value, x, atol=1e-10)
-            denom = max(1.0, float(np.abs(prod).max()))
-            assert np.abs(jt.jacobian - prod).max() / denom < 1e-10
+            for d in (2, 3, 5):
+                f = random_map(n, degree=d, rng=rng)
+                for _ in range(5):
+                    p = 0.5 * (rng.normal(size=(1, n))
+                               + 1j * rng.normal(size=(1, n)))
+                    x, prod = p, None
+                    for m in range(1, 5):
+                        step = f.jet(x)
+                        prod = (step.jacobian if prod is None
+                                else step.jacobian @ prod)
+                        x = step.value
+                        jt = f.iterated_jet(p, m)
+                        assert np.array_equal(words(jt.value), words(x))
+                        assert np.array_equal(words(jt.jacobian), words(prod))
+                    jt, one = f.jet(p), f.iterated_jet(p, 1)
+                    assert np.array_equal(words(jt.value), words(one.value))
+                    assert np.array_equal(words(jt.jacobian),
+                                          words(one.jacobian))
 
     def test_power_law_for_z_squared(self):
         f = PolyMap.from_coeffs_1d([0, 0, 1])
@@ -164,10 +169,9 @@ class TestJets:
         pts = rng.normal(size=(9, 2)) + 1j * rng.normal(size=(9, 2))
         pts[4] = 1e80  # |f| ~ 1e160 > 1e150
         good = np.arange(9) != 4
-        eye = np.eye(2, dtype=complex)
         value, _, steps = map_kernel(f, pts)
         _, jac, jsteps = map_kernel(f, pts, jacobian=True)
-        it, itjac, itsteps = map_kernel(f, pts, 3, jacobian=eye)
+        it, itjac, itsteps = map_kernel(f, pts, 3, jacobian=True)
         assert np.array_equal(steps == 1, good)
         assert np.array_equal(jsteps == 1, good)
         assert np.array_equal(itsteps == 3, good)
@@ -191,7 +195,6 @@ class TestJets:
         from endolab.periodic import classify, eigenvalues
 
         rng = np.random.default_rng(8)
-        eye = np.eye(3, dtype=complex)
         maps = [random_map(n, degree=d, rng=rng)
                 for n in (1, 2, 3) for d in (1, 2, 3, 5, 8)]
         for f in maps:
@@ -201,7 +204,7 @@ class TestJets:
             pts[0] = complex(-0.0, -0.0)
             pts[6] = 1e200  # overflows at step 0
             pts[7] = 1e40  # overflows at a later step from degree 2 on
-            for m, jacobian in ((1, False), (1, True), (3, eye[:n, :n])):
+            for m, jacobian in ((1, False), (1, True), (3, True)):
                 whole = map_kernel(f, pts, m, jacobian=jacobian)
                 for i, p in enumerate(pts):
                     bare = map_kernel(f, p, m, jacobian=jacobian)
@@ -239,10 +242,12 @@ class TestJets:
                 for q in (pts[i], pts[i:i + 1]):
                     with pytest.raises(MapOverflowError):
                         f.iterate(q, 3)
-            # an orbit table steps the batch: row k is f^k(pts), and its
-            # steps are map_kernel's, overflowing rows included
+            # an orbit table steps the batch: row 0 is pts, row k >= 1 is
+            # f^k(pts), and its steps are map_kernel's, overflowing rows
+            # included
             table, steps = orbit(f, pts, 3)
-            for k in range(4):
+            assert np.array_equal(words(table[0]), words(pts))
+            for k in range(1, 4):
                 value, _, made = map_kernel(f, pts, k)
                 assert np.array_equal(words(table[k]), words(value))
                 assert np.array_equal(np.minimum(steps, k), made)
@@ -294,7 +299,6 @@ class TestJets:
         # end in a ragged block of 5, and rows that overflow at step 0 (6,
         # 7) or at step 1 (13, 14, 20, 21) sit on both sides of a boundary
         rng = np.random.default_rng(5)
-        eye = np.eye(3, dtype=complex)
         for n, d in ((1, 2), (2, 3), (3, 5)):
             f = random_map(n, degree=d, rng=rng)
             pts = 0.5 * (rng.normal(size=(40, n))
@@ -303,7 +307,7 @@ class TestJets:
             pts[[6, 7], 0] = 1e200
             pts[[13, 14, 20, 21], 0] = 10.0 ** (100 / d)  # 1e100 at step 0
             sub = rng.permutation(40)[:13]
-            for m, jacobian in ((1, False), (1, True), (3, eye[:n, :n])):
+            for m, jacobian in ((1, False), (1, True), (3, True)):
                 monkeypatch.setattr(maps, "_BLOCK_ROWS", 8192)
                 whole = map_kernel(f, pts, m, jacobian=jacobian)
                 steps = whole[2][[6, 7, 13, 14, 20, 21]]
@@ -323,7 +327,6 @@ class TestJets:
         # when the batch runs in 7-row blocks (the last one ragged) with
         # overflowing rows on both sides of the boundaries at 7 and 14
         rng = np.random.default_rng(23)
-        eye = np.eye(3, dtype=complex)
         for n, d in ((1, 2), (2, 3), (3, 2)):
             f = random_map(n, degree=d, rng=rng)
             pts = 0.8 * (rng.normal(size=(30, n))
@@ -336,7 +339,7 @@ class TestJets:
             m[:15] = np.maximum(m[:15], 3)
             for block in (8192, 7):
                 monkeypatch.setattr(maps, "_BLOCK_ROWS", block)
-                for jacobian in (False, True, eye[:n, :n]):
+                for jacobian in (False, True):
                     got = map_kernel(f, pts, m, jacobian=jacobian)
                     assert (got[2][[6, 7]] == 0).all()
                     assert (got[2][[13, 14]] > 0).all()
@@ -359,12 +362,13 @@ class TestJets:
 
     def test_overflow_raises_with_orbit_index(self):
         f = PolyMap.from_coeffs_1d([0, 0, 1])
-        with pytest.raises(MapOverflowError) as ei:
+        with pytest.raises(MapOverflowError,
+                           match="^numeric overflow at orbit index 0$"):
             f.iterate(np.array([1e200 + 0j]), 4)
-        assert ei.value.index == 0
-        with pytest.raises(MapOverflowError) as ei:
+        # 1e120 is finite, 1e240 is not
+        with pytest.raises(MapOverflowError,
+                           match="^numeric overflow at orbit index 1$"):
             f.iterate(np.array([1e60 + 0j]), 4)
-        assert ei.value.index == 1  # 1e120 is finite, 1e240 is not
 
 
 class TestSupNorm:
@@ -394,39 +398,24 @@ class TestIterate:
             x = f.eval(x)
         assert np.allclose(f.iterate(p, 3), x)
 
-    def test_iterate_zero_is_identity(self):
-        f = random_map(1)
-        p = np.array([0.4 + 0.1j])
-        assert np.allclose(f.iterate(p, 0), p)
-
-    def test_iterate_zero_is_a_new_array(self):
-        f = random_map(2, rng=np.random.default_rng(41))
-        q = np.array([0.4 + 0.1j, -0.2j])
-        for p in (q, q[None]):
-            r = f.iterate(p, 0)
-            assert r is not p and not np.shares_memory(r, p)
-            assert np.array_equal(words(r), words(p))
-            value, _, steps = map_kernel(f, p, 0)
-            assert not np.shares_memory(value, p) and (steps == 0).all()
-
-    def test_negative_m_is_rejected(self):
+    def test_m_below_one_is_rejected(self):
+        # a per-point 0 once dropped rows: [1, 0] on two rows gave one
         f = random_map(2, rng=np.random.default_rng(42))
         p = np.array([0.4 + 0.1j, -0.2j])
-        for q in (p, p[None]):
-            with pytest.raises(ValueError, match="m must be >= 0"):
-                f.iterate(q, -3)
-            with pytest.raises(ValueError, match="m must be >= 0"):
-                map_kernel(f, q, -1, jacobian=True)
-
-    def test_per_point_m_must_be_positive(self):
-        # a per-point 0 once dropped rows: [1, 0] on two rows gave one
-        f = PolyMap.from_coeffs_1d([-1, 0, 1])
-        p = np.array([[0.5 + 0j], [0.3 + 0j]])
-        for m in ([1, 0], [0, 0]):
+        for q in (p, p[None], np.stack([p, p])):
+            for m in (0, -3):
+                for call in (f.iterate, f.iterated_jet):
+                    with pytest.raises(ValueError, match="m must be >= 1"):
+                        call(q, m)
+                for jacobian in (False, True):
+                    with pytest.raises(ValueError, match="m must be >= 1"):
+                        map_kernel(f, q, m, jacobian=jacobian)
+        q = np.stack([p, p])
+        for m in ([1, 0], [0, 0], [2, -1]):
             for jacobian in (False, True):
-                with pytest.raises(ValueError, match=">= 1 per point"):
-                    map_kernel(f, p, np.array(m), jacobian=jacobian)
-        assert map_kernel(f, p, np.array([2, 1]))[0].shape == (2, 1)
+                with pytest.raises(ValueError, match="m must be >= 1"):
+                    map_kernel(f, q, np.array(m), jacobian=jacobian)
+        assert map_kernel(f, q, np.array([2, 1]))[0].shape == (2, 2)
 
     def test_per_point_m_must_not_increase(self, monkeypatch):
         # an increasing m once stepped the wrong rows: [1, 2] on z^2 - 1
@@ -454,29 +443,27 @@ class TestIterate:
         for i, m in enumerate((4, 3, 2, 2, 1, 1)):
             assert np.array_equal(words(got[i]), words(f.iterate(q[i], m)))
 
-    def test_zero_steps_give_the_identity_jacobian(self):
-        f = random_map(2, rng=np.random.default_rng(44))
-        q = np.array([[0.4 + 0.1j, -0.2j], [0.1, 0.3 + 0.3j]])
-        eye = np.eye(2, dtype=complex)
-        for p, shape in ((q, (2, 2, 2)), (q[0], (2, 2))):
-            value, jac, steps = map_kernel(f, p, 0, jacobian=True)
-            assert np.array_equal(words(value), words(p))
-            assert jac.shape == shape and np.array_equal(
-                words(jac), words(np.broadcast_to(eye, shape)))
-            seed = map_kernel(f, p, 0, jacobian=2 * eye)[1]
-            assert np.array_equal(seed, 2 * jac)
+    def test_zero_d_point_and_non_bool_jacobian_are_rejected(self):
+        # a 1x1 jacobian must not be read as its truth value
+        from endolab.orbits import orbit
 
-    def test_zero_d_point_needs_a_1d_map(self):
         rng = np.random.default_rng(43)
-        for n in (2, 3):
+        for n in (1, 2, 3):
             f = random_map(n, rng=rng)
-            with pytest.raises(ValueError, match=f"dimension {n}"):
-                f.eval(0.1)
-            with pytest.raises(ValueError, match=f"dimension {n}"):
-                map_kernel(f, np.complex128(0.1 + 0.2j))
-        f = random_map(1, rng=rng)
-        assert np.array_equal(words(f.eval(0.1)), words(f.eval([0.1])))
-        assert f.eval(0.1).shape == (1,)
+            calls = (f.eval, f.jet, lambda q: f.iterate(q, 2),
+                     lambda q: f.iterated_jet(q, 2),
+                     lambda q: map_kernel(f, q, jacobian=True),
+                     lambda q: orbit(f, q, 2))
+            for call in calls:
+                for q in (0.1, np.complex128(0.1 + 0.2j)):
+                    with pytest.raises(ValueError, match=f"dimension {n}"):
+                        call(q)
+            p = np.full(n, 0.1 + 0.2j)
+            for jacobian in (np.eye(n), np.eye(n, dtype=complex)[None],
+                             np.True_, 1, None):
+                for q in (p, p[None]):
+                    with pytest.raises(TypeError, match="must be a bool"):
+                        map_kernel(f, q, 2, jacobian=jacobian)
 
 
 class TestEscapeRadius:

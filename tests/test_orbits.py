@@ -214,7 +214,7 @@ class TestBasinTests:
             if f.n == 2:
                 cycle_points = cycle_points[-2:]
         cycle = classify(f, [np.asarray(q, dtype=complex)
-                             for q in cycle_points], residual=0.0)
+                             for q in cycle_points])
         assert cycle.klass in ("attracting", "super_attracting")
         pts = Window.square(f.n, -2.2, 2.2).sample(600, seed=2)
         pts[:20] *= 1e80  # |f| ~ 1e160 overflows at once
@@ -254,7 +254,7 @@ class TestBasinTests:
         # and -1.0 lands on it: both states repeat, unlocked, so both are
         # retired failing.  0.5 locks, reaches 0 by underflow and is
         # retired passing
-        cycle = classify(Z2, [np.zeros(1, dtype=complex)], residual=0.0)
+        cycle = classify(Z2, [np.zeros(1, dtype=complex)])
         pts = np.array([[1.0 + 0j], [-1.0 + 0j], [0.5 + 0j]])
         want, _ = basin_mask_all_points(Z2, cycle, pts, 300, 1e-6, 3.0)
         assert want.tolist() == [False, False, True]
@@ -276,7 +276,7 @@ class TestBasinTests:
         # start repeats at every even round, but was never tested, so the
         # first check keeps states and compares none
         f = PolyMap.from_coeffs_1d([0, 0, 3.75, -1.75])
-        cycle = classify(f, [np.zeros(1, dtype=complex)], residual=0.0)
+        cycle = classify(f, [np.zeros(1, dtype=complex)])
         assert cycle.klass == "super_attracting"
         pts = np.array([[1.0 + 0j], [0.1 + 0j]])
         want, _ = basin_mask_all_points(f, cycle, pts, 100, 1.5, 10.0)

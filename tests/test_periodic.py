@@ -198,7 +198,7 @@ def halving_loop_newton(pmap, x0, m, tol, log, max_steps=50, max_halvings=30):
         if idx.size == 0:
             break
         xs = x[idx]
-        fx, J, steps = map_kernel(pmap, xs, m[idx], jacobian=eye)
+        fx, J, steps = map_kernel(pmap, xs, m[idx], jacobian=True)
         ok = steps == m[idx]
         active[idx[~ok]] = False
         idx = idx[ok]
