@@ -399,18 +399,31 @@ class TestIterate:
         assert np.allclose(f.iterate(p, 3), x)
 
     def test_m_below_one_is_rejected(self):
-        # a per-point 0 once dropped rows: [1, 0] on two rows gave one
         f = random_map(2, rng=np.random.default_rng(42))
         p = np.array([0.4 + 0.1j, -0.2j])
         for q in (p, p[None], np.stack([p, p])):
-            for m in (0, -3):
-                for call in (f.iterate, f.iterated_jet):
-                    with pytest.raises(ValueError, match="m must be >= 1"):
-                        call(q, m)
-                for jacobian in (False, True):
-                    with pytest.raises(ValueError, match="m must be >= 1"):
-                        map_kernel(f, q, m, jacobian=jacobian)
-        q = np.stack([p, p])
+            for call in (f.iterate, f.iterated_jet):
+                with pytest.raises(ValueError, match="m must be >= 1"):
+                    call(q, 0)
+            for jacobian in (False, True):
+                with pytest.raises(ValueError, match="m must be >= 1"):
+                    map_kernel(f, q, 0, jacobian=jacobian)
+
+    def test_negative_m_is_rejected(self):
+        f = random_map(2, rng=np.random.default_rng(42))
+        p = np.array([0.4 + 0.1j, -0.2j])
+        for q in (p, p[None], np.stack([p, p])):
+            for call in (f.iterate, f.iterated_jet):
+                with pytest.raises(ValueError, match="m must be >= 1"):
+                    call(q, -3)
+            for jacobian in (False, True):
+                with pytest.raises(ValueError, match="m must be >= 1"):
+                    map_kernel(f, q, -1, jacobian=jacobian)
+
+    def test_per_point_m_must_be_positive(self):
+        # a per-point 0 once dropped rows: [1, 0] on two rows gave one
+        f = random_map(2, rng=np.random.default_rng(42))
+        q = np.stack([np.array([0.4 + 0.1j, -0.2j])] * 2)
         for m in ([1, 0], [0, 0], [2, -1]):
             for jacobian in (False, True):
                 with pytest.raises(ValueError, match="m must be >= 1"):
