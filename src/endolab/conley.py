@@ -56,21 +56,17 @@ class BoxGrid:
     def widths(self):
         return self.window.widths / self.per_axis
 
-    def lattice(self, index):
-        """Flat index -> lattice coordinates (last axis fastest)."""
-        return np.unravel_index(index, self.shape)
-
     def index(self, lattice):
         return np.ravel_multi_index(tuple(lattice), self.shape)
 
     def box_of_points(self, points):
-        """Complex points (..., n) -> flat box index, INFINITY outside."""
+        """Complex points (..., n) -> flat box index, INFINITY where
+        `Window.contains` is False."""
         r = self.window.reals(points)
-        lo = self.window.lo
-        inside = np.all((r >= lo) & (r <= self.window.hi), axis=-1)
-        cell = np.clip(np.floor((r - lo) / self.widths), 0, self.per_axis - 1)
+        cell = np.clip(np.floor((r - self.window.lo) / self.widths), 0,
+                       self.per_axis - 1)
         idx = self.index(np.moveaxis(cell.astype(np.int64), -1, 0))
-        return np.where(inside, idx, INFINITY)
+        return np.where(self.window.contains(points), idx, INFINITY)
 
     def centers(self):
         """Complex centers of all boxes, (count, n)."""
@@ -197,10 +193,9 @@ def build_box_map(pmap, window, depth, samples_per_box=8, pad_mode="subcell:2",
     sels = [sel for sel in sels if sel.any()]
 
     B = grid.count
-    # stacked rows keep `samples`, which map_kernel reads, in C order
-    base = lo + np.stack(grid.lattice(np.arange(B)), axis=-1) * w  # (B, d)
-    samples = base[:, None, :] + offs[None, :, :] * w  # (B, S, d)
-    zs = window.to_complex(samples.reshape(-1, d))  # (B*S, n)
+    # box corners lo + w i plus the shared offsets, (B*S, n) in C order
+    base = window.lattice(lo[:, None] + w[:, None] * np.arange(per))
+    zs = (base[:, None] + window.to_complex(offs * w)).reshape(-1, window.n)
 
     # a sample whose value or Jacobian overflows maps to infinity, and its
     # operator norm is 0; the extra edge to infinity only enlarges the map
@@ -212,7 +207,7 @@ def build_box_map(pmap, window, depth, samples_per_box=8, pad_mode="subcell:2",
     opn = opn.reshape(B, -1)
     img_r = window.reals(img).reshape(B, -1, d)
     over = over.reshape(B, -1)
-    del base, samples, zs, img, jac  # nothing below reads them
+    del base, zs, img, jac  # nothing below reads them
 
     # padded image rectangle [a, b] of each box and sample group, (B, G, d)
     rad = float(w.max()) / (2.0 * split)
@@ -328,9 +323,8 @@ class MorseGraph:
         return L
 
     def sink_classes(self):
-        has_out = np.bincount(self.dag_edges[:, 0],
-                              minlength=len(self.recurrent))
-        return np.flatnonzero(has_out == 0)
+        """The classes with no successor: round 0 of the Kahn peel."""
+        return np.flatnonzero(self.lyapunov == 0)
 
     def infinity_class(self):
         return int(self.class_of[INFINITY])
@@ -429,8 +423,7 @@ def hurley_report(pmap, window, depth, samples_per_box=8, pad_mode="subcell:2",
     cycles = [c for c in find_periodic(pmap, m_max, window, seeds=seeds,
                                        seed=seed)
               if c.klass in ("attracting", "super_attracting")]
-    sink = np.zeros(len(mg.recurrent), dtype=bool)
-    sink[mg.sink_classes()] = True
+    sink = mg.lyapunov == 0
     item2 = []
     item3 = []
     centers = g.grid.centers()

@@ -15,7 +15,7 @@ import numpy as np
 
 from .maps import InputError, Window, _step, sup_norm
 from .orbits import _repeats
-from .periodic import DEDUP_TOL, _dedup, find_periodic
+from .periodic import dedup_points, find_periodic
 
 # escape_grid steps its cells in tiles of this many (CHANGES.md records the
 # sweeps); a tile pays Python overhead per step until its last cell escapes
@@ -28,7 +28,7 @@ class EscapeGrid:
     window: Window  # its first complex coordinate z_1 is gridded
     res: tuple  # (rows, cols) = (re z_1 cells, im z_1 cells)
     escape_iter: np.ndarray  # int (rows, cols), -1 where bounded
-    fixed: tuple  # values of the remaining real coordinates re z_2, im z_2, ...
+    centers: np.ndarray  # complex (rows, cols, n), the cell centers stepped
 
     @property
     def escaped(self):
@@ -38,21 +38,12 @@ class EscapeGrid:
     def cellwidth(self):
         return float((self.window.widths[:2] / self.res).max())
 
-    def centers(self):
-        """Complex cell centers, shape (rows, cols, n)."""
-        return _slice_centers(self.window, self.res[0], self.fixed)
-
-
-def _slice_centers(window, res, fixed):
-    out = np.empty((res * res, window.n), dtype=complex)
-    out[:, :1] = Window(window.bounds[:2]).grid_centers(res)
-    out[:, 1:] = window.to_complex(np.asarray(fixed, dtype=float))
-    return out.reshape(res, res, window.n)
-
 
 def escape_grid(pmap, window, res, n_max, R, fixed=()):
     """Iterate every center of z_1's res x res grid, the other real
     coordinates at `fixed`; mark cells whose orbit leaves ||.||_inf <= R.
+    The centers are `window.grid_centers(res, fixed)`, and the returned
+    grid keeps them.
 
     Deterministic: classification depends only on the center orbit.  Each
     step maps only the live cells, those still inside, since a step's rows
@@ -68,7 +59,7 @@ def escape_grid(pmap, window, res, n_max, R, fixed=()):
     if len(fixed) != 2 * window.n - 2 or not np.isfinite(fixed).all():
         raise InputError(f"slice needs 2n - 2 = {2 * window.n - 2} values "
                          "past z_1, all finite")
-    centers = _slice_centers(window, res, fixed).reshape(-1, pmap.n)
+    centers = window.grid_centers(res, fixed)
     inside = sup_norm(centers) <= R
     esc_iter = np.where(inside, -1, 0)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -86,30 +77,22 @@ def escape_grid(pmap, window, res, n_max, R, fixed=()):
                 same, kept = _repeats(k, live, z, kept)
                 if same is not None:  # periodic from here: stays -1
                     live, z = live[~same], z[~same]
-    return EscapeGrid(window=window, res=(res, res), fixed=tuple(fixed),
-                      escape_iter=esc_iter.reshape(res, res))
-
-
-def dedup_points(pts):
-    """Deterministic dedup at sup-norm DEDUP_TOL, preserving sorted order:
-    sort by (re p_1..re p_n, im p_1..im p_n), drop each point within
-    DEDUP_TOL of a kept one; a (0, n) array stays one."""
-    pts = np.asarray(pts, dtype=complex)
-    pts = pts.reshape(-1, pts.shape[-1])
-    pts = pts[np.lexsort(np.hstack([pts.real, pts.imag]).T[::-1])]
-    return _dedup(pts, np.zeros(len(pts)), DEDUP_TOL)[0]  # ties keep the first
+    return EscapeGrid(window=window, res=(res, res),
+                      escape_iter=esc_iter.reshape(res, res),
+                      centers=centers.reshape(res, res, window.n))
 
 
 def boundary_extract(grid):
-    """Centers of bounded cells 4-adjacent to an escaped cell, (N, n)
-    complex; N = 0 when the grid is all-bounded or all-escaped."""
+    """The grid's centers at its bounded cells 4-adjacent to an escaped
+    cell, (N, n) complex; N = 0 when the grid is all-bounded or
+    all-escaped."""
     esc = grid.escaped
     nb = np.zeros_like(esc)
     nb[1:, :] |= esc[:-1, :]
     nb[:-1, :] |= esc[1:, :]
     nb[:, 1:] |= esc[:, :-1]
     nb[:, :-1] |= esc[:, 1:]
-    return grid.centers()[~esc & nb]
+    return grid.centers[~esc & nb]
 
 
 def repeller_cloud(pmap, m_max, window, seeds=1024, tol=1e-10, seed=0):

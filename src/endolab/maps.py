@@ -434,14 +434,22 @@ class Window:
         return self.to_complex(self.lo + halton(2 * self.n, count, seed)
                                * self.widths)
 
-    def grid_centers(self, per_axis):
-        """Cell centers lo + w (i + 1/2) of a regular subdivision into
-        per_axis cells per real axis, flattened to (per_axis^2n, n) complex
-        in row-major cell order (last real axis fastest)."""
-        ticks = (self.lo[:, None] + self.widths[:, None] / per_axis
-                 * (np.arange(per_axis) + 0.5))
+    def lattice(self, ticks):
+        """`to_complex` of the product of one tick array per real axis,
+        (prod of tick counts, n), row-major (last real axis fastest): every
+        grid of points in endolab is one of these lattices."""
         mesh = np.meshgrid(*ticks, indexing="ij")
         return self.to_complex(np.stack([m.ravel() for m in mesh], axis=-1))
+
+    def grid_centers(self, per_axis, fixed=()):
+        """Cell centers lo + w (i + 1/2) of a regular subdivision into
+        per_axis cells per free real axis, the last len(fixed) real axes
+        pinned at the values `fixed`: the `lattice` of those ticks,
+        (per_axis^(2n - len(fixed)), n) complex."""
+        free = 2 * self.n - len(fixed)
+        ticks = (self.lo[:free, None] + self.widths[:free, None] / per_axis
+                 * (np.arange(per_axis) + 0.5))
+        return self.lattice([*ticks, *np.reshape(fixed, (-1, 1))])
 
 
 def _read_only(values):

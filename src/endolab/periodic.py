@@ -271,6 +271,16 @@ def _dedup(points, resid, tol):
     return points[kept], resid[kept]
 
 
+def dedup_points(pts):
+    """Deterministic dedup at sup-norm DEDUP_TOL, preserving sorted order:
+    sort by (re p_1..re p_n, im p_1..im p_n), drop each point within
+    DEDUP_TOL of a kept one; a (0, n) array stays one."""
+    pts = np.asarray(pts, dtype=complex)
+    pts = pts.reshape(-1, pts.shape[-1])
+    pts = pts[np.lexsort(np.hstack([pts.real, pts.imag]).T[::-1])]
+    return _dedup(pts, np.zeros(len(pts)), DEDUP_TOL)[0]  # ties keep the first
+
+
 # ---------------------------------------------------------------------------
 # aggregate report and CSV
 

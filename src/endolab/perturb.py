@@ -14,11 +14,10 @@ from itertools import product
 
 import numpy as np
 
-from .julia import dedup_points
 from .maps import (InfeasibleError, InputError, PolyMap, _raise_overflow,
                    map_kernel, sup_norm)
 from .orbits import orbit, shell_points
-from .periodic import classify, eigenvalues
+from .periodic import classify, dedup_points, eigenvalues
 
 SUP_NORM_SAMPLES = 10_000
 
@@ -91,18 +90,12 @@ def _delta_map(n, basis, coeffs):
     return PolyMap(n=n, components=comps, allow_constant=True)
 
 
-def _boundary_grid(K, per_axis):
-    """Full grid over K including the boundary (where an analytic
-    function's modulus peaks)."""
-    mesh = np.meshgrid(*np.linspace(K.lo, K.hi, per_axis, axis=1),
-                       indexing="ij")
-    return K.to_complex(np.stack([m.ravel() for m in mesh], axis=-1))
-
-
 def sampled_sup_norm(delta, K, samples=SUP_NORM_SAMPLES, seed=0):
-    """Sup of the correction's sup-norm over quasi-random points of K."""
+    """Sup of the correction's sup-norm over quasi-random points of K and
+    a lattice over K with its boundary (where analytic moduli peak)."""
+    k = 9 if K.n == 1 else 5
     pts = np.concatenate([K.sample(samples, seed=seed),
-                          _boundary_grid(K, 9 if K.n == 1 else 5)])
+                          K.lattice(np.linspace(K.lo, K.hi, k, axis=1))])
     vals = delta.eval(pts)
     return float(np.abs(vals).max())
 
@@ -178,8 +171,9 @@ def interpolate_correction(f, at, value, jacobian, degree_budget, K,
         x = x - Vk @ (Vk.conj().T @ x)
     if minimize == "sup":
         if Vk.shape[1]:
+            k = 17 if n == 1 else 5  # a lattice over K, boundary included
             pts_s = [K.sample(512, seed=seed),
-                     _boundary_grid(K, 17 if n == 1 else 5)]
+                     K.lattice(np.linspace(K.lo, K.hi, k, axis=1))]
             if len(suppress_points):
                 pts_s.append(np.asarray(suppress_points,
                                         dtype=complex).reshape(-1, n))

@@ -85,7 +85,7 @@ def reference_box_map(f, win, depth, spb, pad_mode, seed=0):
     succ = {INFINITY: (INFINITY,)}
     overflows = 0
     for box in range(grid.count):
-        base = lo + np.array(grid.lattice(box)) * w
+        base = lo + np.array(np.unravel_index(box, grid.shape)) * w
         zs = win.to_complex(base + offs * w)
         img, jac, ok = map_kernel(f, zs, jacobian=True)
         overflows += int((ok == 0).sum())
@@ -154,7 +154,8 @@ def meshgrid_centers(win, per_axis):
 
 def box_bounds(grid, b):
     """Real bounds (lo, hi) of box b, from its lattice coordinates."""
-    lo = grid.window.lo + grid.widths * np.array(grid.lattice(b))
+    lo = (grid.window.lo
+          + grid.widths * np.array(np.unravel_index(b, grid.shape)))
     return lo, lo + grid.widths
 
 
@@ -166,10 +167,11 @@ class TestBoxGrid:
             boxes = np.arange(grid.count)
             centers = grid.centers()
             assert np.array_equal(grid.box_of_points(centers), boxes)
-            assert np.array_equal(grid.index(grid.lattice(boxes)), boxes)
+            assert np.array_equal(
+                grid.index(np.unravel_index(boxes, grid.shape)), boxes)
             reals = grid.window.reals(centers)
             for b in range(grid.count):
-                assert grid.index(grid.lattice(b)) == b
+                assert grid.index(np.unravel_index(b, grid.shape)) == b
                 lo, hi = box_bounds(grid, b)
                 assert ((lo < reals[b]) & (reals[b] < hi)).all()
 
@@ -185,7 +187,7 @@ class TestBoxGrid:
         grid = BoxGrid(window=off_centre_window(2), depth=2)
         assert grid.shape == (4, 4, 4, 4)
         assert grid.index((1, 2, 3, 0)) == ((1 * 4 + 2) * 4 + 3) * 4 + 0
-        assert [int(c) for c in grid.lattice(27)] == [0, 1, 2, 3]
+        assert grid.index((0, 1, 2, 3)) == 27
 
     def test_box_of_points(self):
         grid = BoxGrid(window=Window.square(1, -1, 1), depth=2)
@@ -196,6 +198,31 @@ class TestBoxGrid:
             lo, hi = box_bounds(grid, int(idx[i]))
             z = pts[i, 0]
             assert lo[0] <= z.real <= hi[0] and lo[1] <= z.imag <= hi[1]
+
+    def test_box_of_points_is_infinity_exactly_outside(self):
+        # Window.contains is closed: faces and corners are inside, and one
+        # ulp past a face is outside
+        for n in (1, 2, 3):
+            win = off_centre_window(n)
+            grid = BoxGrid(window=win, depth=2)
+            mid = (win.lo + win.hi) / 2
+            levels = [(lo, hi, np.nextafter(lo, -np.inf),
+                       np.nextafter(hi, np.inf), np.nextafter(lo, np.inf),
+                       np.nextafter(hi, -np.inf))
+                      for lo, hi in zip(win.lo, win.hi)]
+            rows = []
+            for k, vals in enumerate(levels):  # one face coordinate
+                for v in vals:
+                    rows.append(mid.copy())
+                    rows[-1][k] = v
+            rows += itertools.product(*[v[:4] for v in levels])  # corners
+            pts = win.to_complex(np.array(rows))
+            assert np.array_equal(win.reals(pts), np.array(rows))
+            inside = win.contains(pts)
+            assert inside.any() and not inside.all()
+            idx = grid.box_of_points(pts)
+            assert np.array_equal(idx == INFINITY, ~inside)
+            assert ((idx[inside] >= 0) & (idx[inside] < grid.count)).all()
 
     def test_centers_inside_their_boxes(self):
         grid = BoxGrid(window=Window.square(1, -1, 1), depth=2)
@@ -394,6 +421,19 @@ class TestMorseGraph:
         assert mg.infinity_class() in rec
         c = g.grid.centers()[recurrent_mask(mg).ravel()]
         assert np.abs(c).max() < 0.5
+
+    def test_sink_classes_have_no_successor(self):
+        plane = PolyMap.from_terms(2, ((((2, 0), 1.0), ((0, 0), -1.0)),
+                                       (((0, 1), 0.5),)))
+        for f, win, depth in ((BASILICA, W, 4),
+                              (HALF, Window.square(1, -1, 1), 3),
+                              (DOUBLE, Window.square(1, -1, 1), 3),
+                              (plane, Window.square(2, -1.75, 1.75), 2)):
+            mg = morse_graph(build_box_map(f, win, depth))
+            leaving = set(mg.dag_edges[:, 0].tolist())
+            want = [c for c in range(len(mg.recurrent)) if c not in leaving]
+            assert mg.sink_classes().tolist() == want
+            assert mg.infinity_class() in want
 
     def test_dot_output(self):
         g = build_box_map(HALF, Window.square(1, -1, 1), 3)

@@ -6,7 +6,6 @@ import pytest
 from endolab import __version__, julia, orbits, reporting
 from endolab.julia import (
     boundary_extract,
-    dedup_points,
     directed_distance,
     escape_grid,
     grid_image,
@@ -14,6 +13,7 @@ from endolab.julia import (
     repeller_cloud,
 )
 from endolab.maps import PolyMap, Window, _step, map_kernel
+from endolab.periodic import dedup_points
 
 Z2 = PolyMap.from_coeffs_1d([0, 0, 1])
 BASILICA = PolyMap.from_coeffs_1d([-1, 0, 1])
@@ -38,7 +38,7 @@ TRIANGULAR = PolyMap.from_terms(2, ((((2, 0), 1.0), ((0, 0), 0.2 + 0.1j),
 def full_grid_escape(pmap, grid, n_max, R):
     """The escape loop that gathers and scatters over every cell at each
     step, for the live-set loop of escape_grid to match word for word."""
-    z = grid.centers().reshape(-1, pmap.n)
+    z = grid.centers.reshape(-1, pmap.n).copy()
     esc_iter = np.full(len(z), -1)
     alive = np.abs(z).max(axis=-1) <= R
     esc_iter[~alive] = 0
@@ -77,7 +77,7 @@ class TestEscapeGrid:
 
     def test_escape_iter_monotone_in_radius(self):
         g = escape_grid(Z2, Window.square(1, -3, 3), 64, 100, 2.0)
-        c = g.centers().reshape(-1)
+        c = g.centers.reshape(-1)
         it = g.escape_iter.reshape(-1)
         esc = g.escaped.reshape(-1)
         # among escaped centers on a ray, farther points escape no later
@@ -187,7 +187,7 @@ class TestEscapeGrid:
         want = np.stack([re + 1j * im,
                          np.full(re.shape, fixed[0]) + 1j * fixed[1]],
                         axis=-1)
-        got = g.centers()
+        got = g.centers
         assert got.shape == (16, 16, 2)
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
         assert g.cellwidth == 2.3 / 16

@@ -540,6 +540,21 @@ class TestSerialization:
                 PolyMap.from_json_dict(d)
 
 
+def signed_zero_window(n):
+    """An off-centre window on 2n real axes, with -0.0 as a bound."""
+    bounds = [(-0.0, 1.5), (-2.1, -0.0), (-1.3, 0.9), (0.2, 0.7),
+              (-0.4, -0.0), (-3.0, 1.1)]
+    return Window(bounds=tuple(bounds[:2 * n]))
+
+
+def meshgrid_lattice(ticks):
+    """The product of one tick array per real axis, written out with
+    meshgrid, row-major, each complex coordinate as re + 1j * im."""
+    mesh = [m.ravel() for m in np.meshgrid(*ticks, indexing="ij")]
+    return np.stack([re + 1j * im for re, im in zip(mesh[0::2], mesh[1::2])],
+                    axis=-1)
+
+
 class TestWindow:
     def test_contains_and_sample(self):
         w = Window.square(2, -1.5, 1.5)
@@ -560,6 +575,36 @@ class TestWindow:
     def test_grid_centers_count(self):
         w = Window.square(1, -1, 1)
         assert len(w.grid_centers(3)) == 9
+
+    def test_lattice_word_for_word(self):
+        # tick counts differ per axis, and the ticks include -0.0 bounds
+        for n in (1, 2, 3):
+            win = signed_zero_window(n)
+            ticks = [np.linspace(lo, hi, 2 + a)
+                     for a, (lo, hi) in enumerate(win.bounds)]
+            assert any((np.signbit(t) & (t == 0)).any() for t in ticks)
+            got = win.lattice(ticks)
+            want = meshgrid_lattice(ticks)
+            assert got.shape == want.shape == (np.prod([len(t) for t in ticks]),
+                                               n)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    def test_grid_centers_word_for_word(self):
+        # every count of pinned axes, pinned at +-0.0 and below zero
+        values = (-0.0, 0.0, -0.75, 0.3, -2.5, -0.0)
+        for n in (1, 2, 3):
+            win = signed_zero_window(n)
+            for pinned in range(2 * n):
+                fixed = values[:pinned]
+                per = 4
+                ticks = [lo + (hi - lo) / per * (np.arange(per) + 0.5)
+                         for lo, hi in win.bounds[:2 * n - pinned]]
+                ticks += [np.array([v]) for v in fixed]
+                got = win.grid_centers(per, fixed)
+                want = meshgrid_lattice(ticks)
+                assert got.shape == (per ** (2 * n - pinned), n)
+                assert np.array_equal(got.view(np.int64),
+                                      want.view(np.int64)), (n, fixed)
 
     def test_invalid_bounds(self):
         for interval in [(1.0, -1.0), (1.0, 1.0), (-np.inf, 1.0),
